@@ -14,20 +14,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    SolveConfig,
-    SolveReport,
-    TraceRecord,
     check_divergence,
-    default_start,
     effective_T,
     g_value,
+    iterate,
+    iterate_residual,
+    prepare_solve,
+    projection_stage,
     recover_iterate,
-    residual,
-    resolve_rho,
 )
 from .errors import CapabilityError, StallError
 from .sets import project
-from .solvers import _run_fixed_point
 
 _MAX_BACKTRACK = 64
 
@@ -77,21 +74,27 @@ def solve_three_step(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    cfg0 = SolveConfig() if config is None else config
-    rho0 = resolve_rho(problem, cfg0)
-    mu = rho0 if cfg0.mu_step is None else cfg0.mu_step
-    beta = rho0 if cfg0.beta_step is None else cfg0.beta_step
+    config, rho, u = prepare_solve(problem, config, u0)
+    mu = rho if config.mu_step is None else config.mu_step
+    beta = rho if config.beta_step is None else config.beta_step
 
-    def step(u, rho, cfg):
-        gu = g_value(problem, u)
-        y = recover_iterate(problem, u, project(problem.K, gu - mu * effective_T(problem, u)))
+    def update(u, s, k):
+        y = recover_iterate(problem, u, project(problem.K, s.gu - mu * s.t))
         gy = g_value(problem, y)
         w = recover_iterate(problem, y, project(problem.K, gy - beta * effective_T(problem, y)))
         gw = g_value(problem, w)
-        return recover_iterate(problem, w, project(problem.K, gw - rho * effective_T(problem, w)))
+        return recover_iterate(problem, w, project(problem.K, gw - rho * effective_T(problem, w))), None
 
     details = {"algorithm": "three-step", "mu_step": mu, "beta_step": beta}
-    return _run_fixed_point(problem, config, u0, step, details=details)
+    return iterate_residual(problem, config, rho, u, update, details)
+
+
+def _gap(problem, u, s, rho):
+    # Gap value from the stage s at u, computed with step rho.
+    shifted = s.gu - rho * s.t
+    dist = float(np.linalg.norm(s.p - shifted))
+    value = 0.5 * (float(np.linalg.norm(shifted - s.gu)) ** 2 - dist**2)
+    return GapEvaluation(value=value, minimizer_point=recover_iterate(problem, u, s.p), distance_part=dist)
 
 
 def gap_N(problem, u, rho):
@@ -115,13 +118,7 @@ def gap_N(problem, u, rho):
     if not rho > 0:
         raise ValueError("rho must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    gu = g_value(problem, u)
-    shifted = gu - rho * effective_T(problem, u)
-    gw = project(problem.K, shifted)
-    w = recover_iterate(problem, u, gw)
-    dist = float(np.linalg.norm(gw - shifted))
-    value = 0.5 * (float(np.linalg.norm(shifted - gu)) ** 2 - dist**2)
-    return GapEvaluation(value=value, minimizer_point=w, distance_part=dist)
+    return _gap(problem, u, projection_stage(problem, u, rho), rho)
 
 
 def solve_gap_descent(problem, config=None, u0=None):
@@ -151,39 +148,30 @@ def solve_gap_descent(problem, config=None, u0=None):
     """
     if problem.g is not None:
         raise CapabilityError("gap descent needs g = identity")
-    config = SolveConfig() if config is None else config
-    rho = resolve_rho(problem, config)
-    u = default_start(problem) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    config, rho, u = prepare_solve(problem, config, u0)
+    s = projection_stage(problem, u, rho)
+    gap = _gap(problem, u, s, rho).value
 
-    d = project(problem.K, u - rho * effective_T(problem, u)) - u
-    dnorm = float(np.linalg.norm(d))
-    gap_here = gap_N(problem, u, rho).value
-    trace = [TraceRecord(float(np.linalg.norm(u)), dnorm, info={"gap": gap_here})]
-    iters = 0
-    while dnorm > config.tol and iters < config.max_iters:
+    def step(u, k):
+        nonlocal s, gap
+        d = s.p - u
+        dnorm_sq = float(np.linalg.norm(d)) ** 2
         t = 1.0
         for _ in range(_MAX_BACKTRACK + 1):
-            gap_trial = gap_N(problem, u + t * d, rho).value
-            if gap_trial <= gap_here - config.alpha * t * dnorm**2:
+            trial = u + t * d
+            s_trial = projection_stage(problem, trial, rho)
+            gap_trial = _gap(problem, trial, s_trial, rho).value
+            if gap_trial <= gap - config.alpha * t * dnorm_sq:
                 break
             t *= config.gamma
         else:
             raise StallError("gap descent found no decreasing step within 64 backtracks")
-        u = u + t * d
-        check_divergence(u)
-        iters += 1
-        d = project(problem.K, u - rho * effective_T(problem, u)) - u
-        dnorm = float(np.linalg.norm(d))
-        gap_here = gap_N(problem, u, rho).value
-        trace.append(TraceRecord(float(np.linalg.norm(u)), dnorm, info={"gap": gap_here, "t": t}))
-    return SolveReport(
-        solution=u,
-        iterations=iters,
-        residual_norm=dnorm,
-        converged=bool(dnorm <= config.tol),
-        trace=trace,
-        details={"algorithm": "gap-descent", "rho": rho},
-    )
+        check_divergence(trial)
+        s, gap = s_trial, gap_trial
+        return trial, float(np.linalg.norm(s.p - trial)), {"gap": gap, "t": t}
+
+    details = {"algorithm": "gap-descent", "rho": rho}
+    return iterate(u, float(np.linalg.norm(s.p - u)), step, config, details, info={"gap": gap})
 
 
 def _controlled_T(T2):

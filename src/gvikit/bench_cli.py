@@ -302,7 +302,7 @@ def parse_config_file(path):
 
     Lines are `key = value` (or `key value`); blank lines and lines
     starting with # are ignored.  Recognized keys: problem, n, alg, rho,
-    tol, max_iters, sigma, gamma, seed, out, format.
+    tol, max_iters, sigma, gamma, out, format.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -359,10 +359,9 @@ def cli():
 @click.option("--max-iters", "max_iters", type=int, default=None)
 @click.option("--sigma", type=float, default=None)
 @click.option("--gamma", type=float, default=None)
-@click.option("--seed", type=int, default=None, help="Recorded for manifest completeness; benchmark problems are deterministic.")
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "markdown"]), default=None)
-def bench(config_path, problem, n_text, alg_text, custom_path, rho, tol, max_iters, sigma, gamma, seed, out_path, fmt):
+def bench(config_path, problem, n_text, alg_text, custom_path, rho, tol, max_iters, sigma, gamma, out_path, fmt):
     """Run solver benchmarks and emit a result table.
 
     Exit code 0 on full success, 2 when any row fails to converge,

@@ -11,11 +11,11 @@ consume a :class:`SolveConfig` and produce a :class:`SolveReport`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CapabilityError, DivergenceError, NumericDomainError, UnsupportedSetError
+from .errors import CapabilityError, DivergenceError, InnerLoopError, NumericDomainError, UnsupportedSetError
 from .sets import ConvexSet, NonnegOrthant, project
 
 _DIVERGENCE_LIMIT = 1e12
@@ -266,6 +266,35 @@ class SolveReport:
     details: dict = field(default_factory=dict)
 
 
+class Stage(NamedTuple):
+    """The projection stage at a point u, for a step scalar rho.
+
+    gu = g(u), t = T(u) - A(u) and p = P_K[gu - rho*t].  Every
+    residual-driven solver steps from the stage at its current iterate,
+    so T is evaluated once per point.
+    """
+
+    gu: np.ndarray
+    t: np.ndarray
+    p: np.ndarray
+
+    @property
+    def r(self):
+        """The projection residual g(u) - P_K[g(u) - rho*(T(u) - A(u))]."""
+        return self.gu - self.p
+
+    def norm(self):
+        """Euclidean norm of the residual."""
+        return float(np.linalg.norm(self.r))
+
+
+def projection_stage(problem, u, rho):
+    """Evaluate g, T - A and one projection at u; see :class:`Stage`."""
+    gu = g_value(problem, u)
+    t = effective_T(problem, u)
+    return Stage(gu, t, project(problem.K, gu - rho * t))
+
+
 def residual(problem, u, rho):
     """Projection residual R(u) = g(u) - P_K[g(u) - rho*(T(u) - A(u))].
 
@@ -284,9 +313,7 @@ def residual(problem, u, rho):
     """
     if not rho > 0:
         raise ValueError("rho must be positive")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    gu = g_value(problem, u)
-    return gu - project(problem.K, gu - rho * effective_T(problem, u))
+    return projection_stage(problem, np.atleast_1d(np.asarray(u, dtype=float)), rho).r
 
 
 def is_solution(problem, u, rho, tol=1e-7):
@@ -430,9 +457,113 @@ def default_start(problem):
     return project(problem.K, np.zeros(problem.dim))
 
 
+def start_point(problem, u0):
+    """A private copy of u0, or the default start when u0 is None."""
+    if u0 is None:
+        return default_start(problem)
+    return np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+
+
+def prepare_solve(problem, config, u0):
+    """The config (default when None), the resolved rho and the start point."""
+    config = SolveConfig() if config is None else config
+    return config, resolve_rho(problem, config), start_point(problem, u0)
+
+
 def check_divergence(u):
     """Raise when an iterate leaves the trust region of the solvers."""
     if not np.all(np.isfinite(u)):
         raise NumericDomainError("iterate")
     if float(np.linalg.norm(u)) > _DIVERGENCE_LIMIT:
         raise DivergenceError(u)
+
+
+def inner_fixed_point(fn, w, config, tag):
+    """Iterate w <- fn(w) until two successive values agree to inner_tol.
+
+    Returns
+    -------
+    (ndarray, int)
+        The last value and the number of evaluations of fn.
+
+    Raises
+    ------
+    InnerLoopError
+        Tagged with ``tag`` after inner_max_iters evaluations.
+    """
+    for inner in range(1, config.inner_max_iters + 1):
+        w_next = fn(w)
+        if float(np.linalg.norm(w_next - w)) <= config.inner_tol:
+            return w_next, inner
+        w = w_next
+    raise InnerLoopError(tag)
+
+
+def iterate(u, norm, step, config, details, info=None, lyapunov=None):
+    """The outer loop of every solver.
+
+    Steps until the stopping quantity drops to ``config.tol`` or
+    ``config.max_iters`` steps have run, recording one trace entry per
+    iterate including the start.
+
+    Parameters
+    ----------
+    u : ndarray
+        Start point.
+    norm : float
+        Stopping quantity at the start point.
+    step : callable
+        ``step(u, k) -> (u_next, norm_next, info)`` takes step k (from 0).
+        It calls :func:`check_divergence` on u_next before evaluating any
+        map there.
+    config : SolveConfig
+    details : dict
+        Report annotations.
+    info : dict, optional
+        Annotation of the start record.
+    lyapunov : callable, optional
+        u -> value recorded on every trace entry.
+
+    Returns
+    -------
+    SolveReport
+    """
+
+    def record(u, norm, info):
+        lyap = None if lyapunov is None else lyapunov(u)
+        return TraceRecord(float(np.linalg.norm(u)), norm, lyapunov=lyap, info=info)
+
+    trace = [record(u, norm, info)]
+    k = 0
+    while norm > config.tol and k < config.max_iters:
+        u, norm, info = step(u, k)
+        k += 1
+        trace.append(record(u, norm, info))
+    return SolveReport(
+        solution=u,
+        iterations=k,
+        residual_norm=norm,
+        converged=bool(norm <= config.tol),
+        trace=trace,
+        details=details,
+    )
+
+
+def iterate_residual(problem, config, rho, u, update, details, lyapunov=None):
+    """Run :func:`iterate` on the projection residual at rho.
+
+    ``update(u, s, k) -> (u_next, info)`` takes step k from the stage s
+    at u; info may instead be a callable of the stages at u and u_next.
+    The stage at each new iterate serves both the stop test and the next
+    step.  The report details gain ``rho``.
+    """
+    s = projection_stage(problem, u, rho)
+
+    def step(u, k):
+        nonlocal s
+        u_next, info = update(u, s, k)
+        check_divergence(u_next)
+        prev, s = s, projection_stage(problem, u_next, rho)
+        return u_next, s.norm(), info(prev, s) if callable(info) else info
+
+    return iterate(u, s.norm(), step, config, dict(details, rho=rho), lyapunov=lyapunov)

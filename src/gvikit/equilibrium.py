@@ -18,14 +18,14 @@ import numpy as np
 
 from .core import (
     SolveConfig,
-    SolveReport,
-    TraceRecord,
     check_divergence,
-    default_start,
     effective_T,
     g_value,
+    inner_fixed_point,
+    iterate,
+    prepare_solve,
     recover_iterate,
-    resolve_rho,
+    start_point,
 )
 from .errors import CapabilityError, InnerLoopError, OracleContractError, UnsupportedSetError
 from .sets import Box, NonnegOrthant, WholeSpace, distance, project
@@ -157,15 +157,13 @@ def diagonal_kernel_oracle(T, K, weights):
     return oracle
 
 
-def _displacement_report(u, iters, disp, tol, trace, details):
-    return SolveReport(
-        solution=u,
-        iterations=iters,
-        residual_norm=disp,
-        converged=bool(disp <= tol),
-        trace=trace,
-        details=details,
-    )
+def _prepare_oracle_solve(problem, config, u0):
+    # Oracle-driven solvers default to rho = 1 rather than a Lipschitz probe.
+    config = SolveConfig() if config is None else config
+    rho = config.rho if config.rho is not None else 1.0
+    if not rho > 0:
+        raise ValueError("rho must be positive")
+    return config, rho, start_point(problem, u0)
 
 
 def solve_eq_predictor_corrector(problem, config=None, u0=None):
@@ -187,30 +185,22 @@ def solve_eq_predictor_corrector(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config = SolveConfig() if config is None else config
-    rho = config.rho if config.rho is not None else 1.0
-    if not rho > 0:
-        raise ValueError("rho must be positive")
+    config, rho, u = _prepare_oracle_solve(problem, config, u0)
     beta = rho if config.beta_step is None else config.beta_step
     if not beta > 0:
         raise ValueError("beta_step must be positive for the predictor")
-    u = default_start(problem) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).copy()
 
-    trace = [TraceRecord(float(np.linalg.norm(u)), np.inf)]
-    iters = 0
-    disp = np.inf
-    while disp > config.tol and iters < config.max_iters:
+    def step(u, k):
         gu = g_value(problem, u)
         gw = _checked_oracle_value(problem.K, problem.aux_oracle(u, gu, beta), "equilibrium")
         w = recover_iterate(problem, u, gw)
         g_next = _checked_oracle_value(problem.K, problem.aux_oracle(w, gw, rho), "equilibrium")
-        u = recover_iterate(problem, w, g_next)
-        check_divergence(u)
-        iters += 1
-        disp = float(np.linalg.norm(g_next - gu))
-        trace.append(TraceRecord(float(np.linalg.norm(u)), disp))
+        u_next = recover_iterate(problem, w, g_next)
+        check_divergence(u_next)
+        return u_next, float(np.linalg.norm(g_next - gu)), None
+
     details = {"algorithm": "eq-predictor-corrector", "rho": rho, "beta_step": beta}
-    return _displacement_report(u, iters, disp, config.tol, trace, details)
+    return iterate(u, np.inf, step, config, details)
 
 
 def solve_eq_inertial(problem, config=None, u0=None):
@@ -237,45 +227,28 @@ def solve_eq_inertial(problem, config=None, u0=None):
         When the inner iteration fails to go Cauchy within
         inner_max_iters.
     """
-    config = SolveConfig() if config is None else config
-    rho = config.rho if config.rho is not None else 1.0
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    u = default_start(problem) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    config, rho, u = _prepare_oracle_solve(problem, config, u0)
     u_prev = u.copy()
 
-    trace = [TraceRecord(float(np.linalg.norm(u)), np.inf)]
-    iters = 0
-    disp = np.inf
-    while disp > config.tol and iters < config.max_iters:
-        alpha_n = config.alpha_at(iters, default=0.0)
+    def step(u, k):
+        nonlocal u_prev
+        alpha_n = config.alpha_at(k, default=0.0)
         if not 0.0 <= alpha_n < 1.0:
             raise ValueError("inertial weight must lie in [0, 1)")
         gu = g_value(problem, u)
         center = gu + alpha_n * (gu - g_value(problem, u_prev))
-        w = gu.copy()
-        inner = 0
-        while True:
-            w_next = _checked_oracle_value(
-                problem.K, problem.aux_oracle(recover_iterate(problem, u, w), center, rho), "equilibrium"
-            )
-            inner += 1
-            if float(np.linalg.norm(w_next - w)) <= config.inner_tol:
-                w = w_next
-                break
-            w = w_next
-            if inner >= config.inner_max_iters:
-                raise InnerLoopError("eq-inertial")
+
+        def proximal(w):
+            anchor = recover_iterate(problem, u, w)
+            return _checked_oracle_value(problem.K, problem.aux_oracle(anchor, center, rho), "equilibrium")
+
+        w, inner = inner_fixed_point(proximal, gu.copy(), config, "eq-inertial")
         u_prev = u
-        u = recover_iterate(problem, u, w)
-        check_divergence(u)
-        iters += 1
-        disp = float(np.linalg.norm(w - gu))
-        trace.append(
-            TraceRecord(float(np.linalg.norm(u)), disp, info={"alpha_n": alpha_n, "inner_iters": inner})
-        )
-    details = {"algorithm": "eq-inertial", "rho": rho}
-    return _displacement_report(u, iters, disp, config.tol, trace, details)
+        u_next = recover_iterate(problem, u, w)
+        check_divergence(u_next)
+        return u_next, float(np.linalg.norm(w - gu)), {"alpha_n": alpha_n, "inner_iters": inner}
+
+    return iterate(u, np.inf, step, config, {"algorithm": "eq-inertial", "rho": rho})
 
 
 def solve_varlike(problem, config=None, u0=None):
@@ -295,25 +268,16 @@ def solve_varlike(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config = SolveConfig() if config is None else config
-    rho = config.rho if config.rho is not None else 1.0
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    u = default_start(problem) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+    config, rho, u = _prepare_oracle_solve(problem, config, u0)
 
-    trace = [TraceRecord(float(np.linalg.norm(u)), np.inf)]
-    iters = 0
-    disp = np.inf
-    while disp > config.tol and iters < config.max_iters:
+    def step(u, k):
         gu = g_value(problem, u)
         g_next = _checked_oracle_value(problem.K, problem.aux_oracle(u, gu, rho), "variational-like")
-        u = recover_iterate(problem, u, g_next)
-        check_divergence(u)
-        iters += 1
-        disp = float(np.linalg.norm(np.asarray(problem.eta(g_next, gu), dtype=float)))
-        trace.append(TraceRecord(float(np.linalg.norm(u)), disp))
-    details = {"algorithm": "varlike", "rho": rho}
-    return _displacement_report(u, iters, disp, config.tol, trace, details)
+        u_next = recover_iterate(problem, u, g_next)
+        check_divergence(u_next)
+        return u_next, float(np.linalg.norm(np.asarray(problem.eta(g_next, gu), dtype=float))), None
+
+    return iterate(u, np.inf, step, config, {"algorithm": "varlike", "rho": rho})
 
 
 def _power_subproblem(problem, anchor, center, rho, config):
@@ -389,44 +353,24 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     base = problem.base
     if base.g is not None:
         raise CapabilityError("the built-in subproblem solver needs g = identity")
-    config = SolveConfig() if config is None else config
-    rho = resolve_rho(base, config)
-    u = default_start(base) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-
-    star = None
-    if base.known_solution is not None:
-        star = np.asarray(base.known_solution, dtype=float)
+    config, rho, u = prepare_solve(base, config, u0)
+    star = None if base.known_solution is None else np.asarray(base.known_solution, dtype=float)
 
     def lyap(pt):
         return float(np.linalg.norm(star - pt)) ** 2 if star is not None else None
 
-    trace = [TraceRecord(float(np.linalg.norm(u)), np.inf, lyapunov=lyap(u))]
-    iters = 0
-    disp = np.inf
-    while disp > config.tol and iters < config.max_iters:
+    def step(u, k):
         if mode == "two_step":
             y = _power_subproblem(problem, u, u, rho, config)
             u_next = _power_subproblem(problem, y, y, rho, config)
         else:
-            w = u.copy()
-            inner = 0
-            while True:
-                w_next = _power_subproblem(problem, w, u, rho, config)
-                inner += 1
-                if float(np.linalg.norm(w_next - w)) <= config.inner_tol:
-                    w = w_next
-                    break
-                w = w_next
-                if inner >= config.inner_max_iters:
-                    raise InnerLoopError("higher-order implicit step")
-            u_next = w
+            u_next, _ = inner_fixed_point(
+                lambda w: _power_subproblem(problem, w, u, rho, config), u.copy(), config,
+                "higher-order implicit step",
+            )
         check_divergence(u_next)
         step_sq = float(np.linalg.norm(u_next - u)) ** 2
-        disp = np.sqrt(step_sq)
-        u = u_next
-        iters += 1
-        trace.append(
-            TraceRecord(float(np.linalg.norm(u)), disp, lyapunov=lyap(u), info={"step_sq": step_sq})
-        )
+        return u_next, np.sqrt(step_sq), {"step_sq": step_sq}
+
     details = {"algorithm": "higher-order", "mode": mode, "rho": rho, "p": problem.p, "nu": problem.nu}
-    return _displacement_report(u, iters, disp, config.tol, trace, details)
+    return iterate(u, np.inf, step, config, details, lyapunov=lyap)

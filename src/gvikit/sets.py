@@ -100,13 +100,24 @@ class IntersectionWithHyperplane(ConvexSet):
     b: float
 
     def __post_init__(self):
-        if not isinstance(self.base, (Box, NonnegOrthant, Simplex)):
+        if not isinstance(self.base, INTERSECTION_BASES):
             raise ValueError("intersection base must be Box, NonnegOrthant, or Simplex")
         a = np.atleast_1d(np.asarray(self.a, dtype=float))
         if not np.any(a != 0):
             raise ValueError("hyperplane normal must be nonzero")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", float(self.b))
+
+
+# The base sets project_intersection supports.
+INTERSECTION_BASES = (Box, NonnegOrthant, Simplex)
+
+
+def check_intersection_base(base):
+    """Raise UnsupportedSetError unless ``project_intersection`` supports ``base``."""
+    if not isinstance(base, INTERSECTION_BASES):
+        names = ", ".join(cls.__name__ for cls in INTERSECTION_BASES)
+        raise UnsupportedSetError(f"intersection base must be one of {names}, not {type(base).__name__}")
 
 
 def _project_simplex(z, total):
@@ -209,8 +220,7 @@ def project_intersection(base, a, b, z):
         If phi has no sign change within the bracket growth limit,
         i.e. the hyperplane misses the base set.
     """
-    if not isinstance(base, (Box, NonnegOrthant, Simplex)):
-        raise UnsupportedSetError("intersection base must be Box, NonnegOrthant, or Simplex")
+    check_intersection_base(base)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.any(a != 0):

@@ -7,24 +7,18 @@ where the operator is evaluated and how implicitly the step is taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import functools
 
 from .core import (
-    SolveConfig,
-    SolveReport,
-    TraceRecord,
-    check_divergence,
-    default_start,
     effective_T,
     eval_operator,
     g_value,
+    inner_fixed_point,
+    iterate_residual,
+    prepare_solve,
     recover_iterate,
-    residual,
-    resolve_rho,
 )
-from .errors import CapabilityError, InnerLoopError
+from .errors import CapabilityError
 from .sets import project
 
 FORWARD_T = "ForwardT"
@@ -33,83 +27,11 @@ EXPLICIT_T = "ExplicitT"
 _VARIANTS = (FORWARD_T, FULL_IMPLICIT, EXPLICIT_T)
 
 
-@dataclass(frozen=True)
-class TwoStepScheme:
-    """Weights of the unified two-step scheme.
-
-    lam blends the predictor into the projection argument's g-part,
-    xi blends it into the operator evaluation point.  (0, 0) recovers
-    the plain projection method; (1/2, 1/2) the midpoint scheme.
-    """
-
-    lam: float = 0.5
-    xi: float = 0.5
-
-    def __post_init__(self):
-        if not 0 <= self.lam <= 1 or not 0 <= self.xi <= 1:
-            raise ValueError("scheme weights must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class DynamicalVariant:
-    """Discretization variant of the projected dynamical system.
-
-    tag is one of "ForwardT" (implicit operator, damped update),
-    "FullImplicit" (implicit operator and projection argument), or
-    "ExplicitT" (explicit operator with time-step-scaled projection).
-    """
-
-    tag: str = FORWARD_T
-    h: float = 1.0
-
-    def __post_init__(self):
-        if self.tag not in _VARIANTS:
-            raise ValueError(f"tag must be one of {_VARIANTS}")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-
-
-def _prepare(problem, config, u0):
-    config = SolveConfig() if config is None else config
-    rho = resolve_rho(problem, config)
-    if u0 is None:
-        u = default_start(problem)
-    else:
-        u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    return config, rho, u
-
-
 def _lyapunov(problem, u):
     if problem.known_solution is None:
         return None
     gap = g_value(problem, problem.known_solution) - g_value(problem, u)
     return float(gap @ gap)
-
-
-def _run_fixed_point(problem, config, u0, step, details=None, with_lyapunov=False):
-    # Shared outer loop: stop on ||R(u)|| <= tol or the iteration cap.
-    # step returns the next iterate, optionally with a per-step info dict.
-    config, rho, u = _prepare(problem, config, u0)
-    rnorm = float(np.linalg.norm(residual(problem, u, rho)))
-    lyap = _lyapunov(problem, u) if with_lyapunov else None
-    trace = [TraceRecord(float(np.linalg.norm(u)), rnorm, lyapunov=lyap)]
-    iters = 0
-    while rnorm > config.tol and iters < config.max_iters:
-        out = step(u, rho, config)
-        u, info = out if isinstance(out, tuple) else (out, None)
-        check_divergence(u)
-        iters += 1
-        rnorm = float(np.linalg.norm(residual(problem, u, rho)))
-        lyap = _lyapunov(problem, u) if with_lyapunov else None
-        trace.append(TraceRecord(float(np.linalg.norm(u)), rnorm, lyapunov=lyap, info=info))
-    return SolveReport(
-        solution=u,
-        iterations=iters,
-        residual_norm=rnorm,
-        converged=bool(rnorm <= config.tol),
-        trace=trace,
-        details=dict(details or {}, rho=rho),
-    )
 
 
 def solve_projection(problem, config=None, u0=None):
@@ -129,12 +51,12 @@ def solve_projection(problem, config=None, u0=None):
     -------
     SolveReport
     """
+    config, rho, u = prepare_solve(problem, config, u0)
 
-    def step(u, rho, cfg):
-        gu = g_value(problem, u)
-        return u - gu + project(problem.K, gu - rho * effective_T(problem, u))
+    def update(u, s, k):
+        return u - s.gu + s.p, None
 
-    return _run_fixed_point(problem, config, u0, step, details={"algorithm": "projection"})
+    return iterate_residual(problem, config, rho, u, update, {"algorithm": "projection"})
 
 
 def solve_extragradient(problem, config=None, u0=None):
@@ -155,17 +77,16 @@ def solve_extragradient(problem, config=None, u0=None):
     """
     if problem.g is not None and problem.g_inverse is None:
         raise CapabilityError("extragradient needs g_inverse for non-identity g")
+    config, rho, u = prepare_solve(problem, config, u0)
 
-    def step(u, rho, cfg):
-        gu = g_value(problem, u)
-        py = project(problem.K, gu - rho * effective_T(problem, u))
-        y = eval_operator(problem, "g_inverse", py)
-        return u - gu + project(problem.K, gu - rho * effective_T(problem, y))
+    def update(u, s, k):
+        y = eval_operator(problem, "g_inverse", s.p)
+        return u - s.gu + project(problem.K, s.gu - rho * effective_T(problem, y)), None
 
-    return _run_fixed_point(problem, config, u0, step, details={"algorithm": "extragradient"})
+    return iterate_residual(problem, config, rho, u, update, {"algorithm": "extragradient"})
 
 
-def solve_two_step(problem, config=None, u0=None, scheme=None):
+def solve_two_step(problem, config=None, u0=None):
     """Unified two-step predictor-corrector scheme.
 
     Predictor: g(y) = P_K[g(u) - rho*T(u)] (iterate recovered via the
@@ -173,39 +94,40 @@ def solve_two_step(problem, config=None, u0=None, scheme=None):
     w = P_K[(1-lam)*g(u) + lam*g(y) - rho*T((1-xi)*u + xi*y)],
     u+ = u - g(u) + w.  Averages act on g-values and evaluation points,
     which matches the classical midpoint schemes exactly for linear g.
+    (lam, xi) = (0, 0) recovers the plain projection method and
+    (1/2, 1/2) the midpoint scheme.
 
     Parameters
     ----------
     problem : GviProblem
     config : SolveConfig, optional
+        The weights are its lam and xi fields.
     u0 : array_like, optional
-    scheme : TwoStepScheme, optional
-        Defaults to the (lam, xi) fields of the config.
 
     Returns
     -------
     SolveReport
     """
-    cfg0 = SolveConfig() if config is None else config
-    sch = TwoStepScheme(cfg0.lam, cfg0.xi) if scheme is None else scheme
+    config, rho, u = prepare_solve(problem, config, u0)
+    lam, xi = config.lam, config.xi
 
-    def step(u, rho, cfg):
-        gu = g_value(problem, u)
-        py = project(problem.K, gu - rho * effective_T(problem, u))
-        y = recover_iterate(problem, u, py)
+    def update(u, s, k):
+        y = recover_iterate(problem, u, s.p)
         gy = g_value(problem, y)
-        mid = (1.0 - sch.xi) * u + sch.xi * y
-        w = project(
-            problem.K,
-            (1.0 - sch.lam) * gu + sch.lam * gy - rho * effective_T(problem, mid),
-        )
-        return u - gu + w
+        mid = (1.0 - xi) * u + xi * y
+        w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - rho * effective_T(problem, mid))
+        return u - s.gu + w, None
 
-    details = {"algorithm": "two-step", "lam": sch.lam, "xi": sch.xi}
-    return _run_fixed_point(problem, config, u0, step, details=details)
+    details = {"algorithm": "two-step", "lam": lam, "xi": xi}
+    return iterate_residual(problem, config, rho, u, update, details)
 
 
-def solve_dynamical(problem, config=None, u0=None, variant=None):
+def _step_gsq(prev, nxt):
+    step_g = nxt.gu - prev.gu
+    return {"step_gsq": float(step_g @ step_g)}
+
+
+def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
     """Discretized projected dynamical system with an implicit operator.
 
     Each outer step solves its update relation in g-image space:
@@ -225,9 +147,9 @@ def solve_dynamical(problem, config=None, u0=None, variant=None):
     ----------
     problem : GviProblem
     config : SolveConfig, optional
+        The time step is its h field.
     u0 : array_like, optional
-    variant : DynamicalVariant or str, optional
-        Defaults to ForwardT with the config's h.
+    variant : {"ForwardT", "FullImplicit", "ExplicitT"}
 
     Returns
     -------
@@ -238,38 +160,25 @@ def solve_dynamical(problem, config=None, u0=None, variant=None):
     InnerLoopError
         When an inner fixed-point loop exceeds inner_max_iters.
     """
-    cfg0 = SolveConfig() if config is None else config
-    if variant is None:
-        variant = DynamicalVariant(FORWARD_T, cfg0.h)
-    elif isinstance(variant, str):
-        variant = DynamicalVariant(variant, cfg0.h)
-    h = variant.h
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}")
+    config, rho, u = prepare_solve(problem, config, u0)
+    h = config.h
     damp = h / (1.0 + h)
 
-    def inner_solve(u, rho, cfg, implicit_projection_arg):
-        gu = g_value(problem, u)
-        w = gu.copy()
-        for _ in range(cfg.inner_max_iters):
+    def update(u, s, k):
+        gu = s.gu
+        if variant == EXPLICIT_T:
+            return recover_iterate(problem, u, project(problem.K, gu - rho * damp * s.t)), _step_gsq
+
+        def damped(w):
+            arg = w if variant == FULL_IMPLICIT else gu
             point = recover_iterate(problem, u, w)
-            arg = w if implicit_projection_arg else gu
-            w_next = (h * project(problem.K, arg - rho * effective_T(problem, point)) + gu) / (1.0 + h)
-            delta = float(np.linalg.norm(w_next - w))
-            w = w_next
-            if delta <= cfg.inner_tol:
-                return recover_iterate(problem, u, w)
-        raise InnerLoopError(variant.tag)
+            return (h * project(problem.K, arg - rho * effective_T(problem, point)) + gu) / (1.0 + h)
 
-    def step(u, rho, cfg):
-        if variant.tag == FORWARD_T:
-            u_next = inner_solve(u, rho, cfg, implicit_projection_arg=False)
-        elif variant.tag == FULL_IMPLICIT:
-            u_next = inner_solve(u, rho, cfg, implicit_projection_arg=True)
-        else:
-            gu = g_value(problem, u)
-            w = project(problem.K, gu - rho * damp * effective_T(problem, u))
-            u_next = recover_iterate(problem, u, w)
-        step_g = g_value(problem, u_next) - g_value(problem, u)
-        return u_next, {"step_gsq": float(step_g @ step_g)}
+        w, _ = inner_fixed_point(damped, gu.copy(), config, variant)
+        return recover_iterate(problem, u, w), _step_gsq
 
-    details = {"algorithm": "dynamical", "variant": variant.tag, "h": h}
-    return _run_fixed_point(problem, config, u0, step, details=details, with_lyapunov=True)
+    details = {"algorithm": "dynamical", "variant": variant, "h": h}
+    return iterate_residual(problem, config, rho, u, update, details,
+                            lyapunov=functools.partial(_lyapunov, problem))

@@ -14,18 +14,14 @@ import numpy as np
 
 from .core import (
     SolveConfig,
-    SolveReport,
-    TraceRecord,
-    check_divergence,
-    default_start,
     effective_T,
-    g_value,
+    iterate_residual,
+    prepare_solve,
     recover_iterate,
-    residual,
-    resolve_rho,
+    start_point,
 )
 from .errors import InfeasibleSetError, LineSearchError
-from .sets import project, project_intersection
+from .sets import check_intersection_base, project, project_intersection
 
 _MAX_ARMIJO_POWER = 64
 
@@ -37,6 +33,7 @@ class ArmijoResult:
     m: int
     eta: float
     trial_point: np.ndarray
+    trial_T: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,7 @@ class StepData:
     y: np.ndarray
 
 
-def armijo_search(problem, u, R_u, gamma, sigma):
+def armijo_search(problem, u, R_u, gamma, sigma, T_u=None):
     """Find the smallest m >= 0 with ⟨T(u) - T(u - γ^m R), R⟩ ≤ σ‖R‖².
 
     Parameters
@@ -65,11 +62,14 @@ def armijo_search(problem, u, R_u, gamma, sigma):
         Residual at u; must be nonzero.
     gamma, sigma : float
         Backtracking ratio and sufficient-decrease scalar, both in (0, 1).
+    T_u : ndarray, optional
+        T(u) - A(u) when the caller already has it; evaluated otherwise.
 
     Returns
     -------
     ArmijoResult
-        With eta = gamma**m and trial_point = u - eta*R_u.
+        With eta = gamma**m, trial_point = u - eta*R_u and trial_T the
+        effective operator at trial_point.
 
     Raises
     ------
@@ -81,28 +81,29 @@ def armijo_search(problem, u, R_u, gamma, sigma):
     rsq = float(R_u @ R_u)
     if rsq == 0.0:
         raise ValueError("R_u must be nonzero")
-    Tu = effective_T(problem, u)
+    Tu = effective_T(problem, u) if T_u is None else T_u
     eta = 1.0
     for m in range(_MAX_ARMIJO_POWER + 1):
         trial = u - eta * R_u
-        if float((Tu - effective_T(problem, trial)) @ R_u) <= sigma * rsq:
-            return ArmijoResult(m=m, eta=eta, trial_point=trial)
+        T_trial = effective_T(problem, trial)
+        if float((Tu - T_trial) @ R_u) <= sigma * rsq:
+            return ArmijoResult(m=m, eta=eta, trial_point=trial, trial_T=T_trial)
         eta *= gamma
     raise LineSearchError("no step within 64 backtracking halvings; check operator scaling")
 
 
-def _search_step(problem, u, gu, R, config):
+def _search_step(problem, u, s, config):
     # Predictor, line search, direction, and step length shared by both
-    # double-projection correctors.  rho = 1 is fixed inside the predictor.
-    gz = gu - R
-    z = recover_iterate(problem, u, gz)
-    search = armijo_search(problem, u, R, config.gamma, config.sigma)
+    # double-projection correctors, from the rho = 1 stage s at u.
+    R = s.r
+    z = recover_iterate(problem, u, s.gu - R)
+    search = armijo_search(problem, u, R, config.gamma, config.sigma, T_u=s.t)
     eta = search.eta
-    y = recover_iterate(problem, u, gu - eta * R)
-    Tu = effective_T(problem, u)
-    Ty = effective_T(problem, y)
-    d = -(eta * R - eta * Tu + Ty)
-    c = eta * float(R @ (R - Tu + Ty))
+    y = recover_iterate(problem, u, s.gu - eta * R)
+    # Only for the identity g is y the Armijo trial point itself.
+    Ty = search.trial_T if problem.g is None else effective_T(problem, y)
+    d = -(eta * R - eta * s.t + Ty)
+    c = eta * float(R @ (R - s.t + Ty))
     dsq = float(d @ d)
     if dsq == 0.0:
         alpha = 0.0
@@ -114,49 +115,32 @@ def _search_step(problem, u, gu, R, config):
 
 
 def _solve_double_projection(problem, config, u0, optimal):
+    if optimal:
+        check_intersection_base(problem.K)
     config = SolveConfig() if config is None else config
-    u = default_start(problem) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    gu = g_value(problem, u)
-    R = gu - project(problem.K, gu - effective_T(problem, u))
-    rnorm = float(np.linalg.norm(R))
-    trace = [TraceRecord(float(np.linalg.norm(u)), rnorm)]
-    iters = 0
-    while rnorm > config.tol and iters < config.max_iters:
-        step, c, search = _search_step(problem, u, gu, R, config)
+    u = start_point(problem, u0)
+
+    def update(u, s, k):
+        step, c, search = _search_step(problem, u, s, config)
         info = {"m": search.m, "eta": search.eta, "c": c, "alpha": step.alpha}
-        moved = gu + step.alpha * step.d
+        moved = s.gu + step.alpha * step.d
         if optimal and float(step.d @ step.d) > 0.0:
             try:
-                g_next = project_intersection(
-                    problem.K, step.d, c + float(gu @ step.d), moved
-                )
+                g_next = project_intersection(problem.K, step.d, c + float(s.gu @ step.d), moved)
             except InfeasibleSetError:
                 info["fallback"] = "basic"
                 g_next = project(problem.K, moved)
         else:
             g_next = project(problem.K, moved)
         info["d"] = step.d.copy()
-        info["step_g"] = g_next - gu
-        u = recover_iterate(problem, u, g_next)
-        check_divergence(u)
-        iters += 1
-        gu = g_value(problem, u)
-        R = gu - project(problem.K, gu - effective_T(problem, u))
-        rnorm = float(np.linalg.norm(R))
-        trace.append(TraceRecord(float(np.linalg.norm(u)), rnorm, info=info))
+        info["step_g"] = g_next - s.gu
+        return recover_iterate(problem, u, g_next), info
+
     details = {
         "algorithm": "dp-optimal" if optimal else "dp-basic",
-        "rho": 1.0,
         "step_denominator": "norm_squared" if config.step_denominator_squared else "norm",
     }
-    return SolveReport(
-        solution=u,
-        iterations=iters,
-        residual_norm=rnorm,
-        converged=bool(rnorm <= config.tol),
-        trace=trace,
-        details=details,
-    )
+    return iterate_residual(problem, config, 1.0, u, update, details)
 
 
 def solve_double_projection_basic(problem, config=None, u0=None):
@@ -203,6 +187,12 @@ def solve_double_projection_optimal(problem, config=None, u0=None):
     Returns
     -------
     SolveReport
+
+    Raises
+    ------
+    UnsupportedSetError
+        Before any evaluation, when K is not a base set that
+        ``project_intersection`` supports.
     """
     return _solve_double_projection(problem, config, u0, optimal=True)
 
@@ -227,31 +217,15 @@ def solve_whe(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config = SolveConfig() if config is None else config
-    rho = resolve_rho(problem, config)
-    u = default_start(problem) if u0 is None else np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    rnorm = float(np.linalg.norm(residual(problem, u, rho)))
-    trace = [TraceRecord(float(np.linalg.norm(u)), rnorm)]
-    iters = 0
-    while rnorm > config.tol and iters < config.max_iters:
-        a_n = config.alpha_at(iters, default=1.0)
+    config, rho, u = prepare_solve(problem, config, u0)
+
+    def update(u, s, k):
+        a_n = config.alpha_at(k, default=1.0)
         if not 0.0 < a_n <= 1.0:
             raise ValueError("alpha_schedule values must lie in (0, 1]")
-        gu = g_value(problem, u)
-        shifted = gu - rho * effective_T(problem, u)
-        gy = project(problem.K, shifted)
-        y = recover_iterate(problem, u, gy)
-        w = project(problem.K, gy - rho * effective_T(problem, y) + gy - shifted)
-        u = recover_iterate(problem, u, (1.0 - a_n) * gu + a_n * w)
-        check_divergence(u)
-        iters += 1
-        rnorm = float(np.linalg.norm(residual(problem, u, rho)))
-        trace.append(TraceRecord(float(np.linalg.norm(u)), rnorm, info={"alpha_n": a_n}))
-    return SolveReport(
-        solution=u,
-        iterations=iters,
-        residual_norm=rnorm,
-        converged=bool(rnorm <= config.tol),
-        trace=trace,
-        details={"algorithm": "whe", "rho": rho},
-    )
+        shifted = s.gu - rho * s.t
+        y = recover_iterate(problem, u, s.p)
+        w = project(problem.K, s.p - rho * effective_T(problem, y) + s.p - shifted)
+        return recover_iterate(problem, u, (1.0 - a_n) * s.gu + a_n * w), {"alpha_n": a_n}
+
+    return iterate_residual(problem, config, rho, u, update, {"algorithm": "whe"})

@@ -61,7 +61,6 @@ from gvikit.sets import (
     project,
 )
 from gvikit.solvers import (
-    TwoStepScheme,
     solve_dynamical,
     solve_extragradient,
     solve_projection,
@@ -119,8 +118,7 @@ def test_basic_double_projection_contrast():
 KNOWN_SOLUTION_RUNS = [
     ("projection", lambda p: solve_projection(p, SolveConfig(rho=0.5))),
     ("extragradient", lambda p: solve_extragradient(p, SolveConfig(rho=0.5))),
-    ("two-step-midpoint", lambda p: solve_two_step(p, SolveConfig(rho=0.5),
-                                                   scheme=TwoStepScheme(0.5, 0.5))),
+    ("two-step-midpoint", lambda p: solve_two_step(p, SolveConfig(rho=0.5, lam=0.5, xi=0.5))),
     ("whe", lambda p: solve_whe(p, SolveConfig(rho=0.5))),
     ("dp-optimal", lambda p: solve_double_projection_optimal(p, DP_CONFIG)),
     ("three-step", lambda p: solve_three_step(p, SolveConfig(rho=0.5))),
@@ -287,7 +285,8 @@ def test_scheme_reductions_coincide(example4_5):
     ho = solve_higher_order(hp, cfg)
     assert np.max(np.abs(ho.solution - two_stage.solution)) <= 1e-10
 
-    ts = solve_two_step(example4_5, cfg, scheme=TwoStepScheme(0.0, 0.0))
+    ts = solve_two_step(example4_5, SolveConfig(rho=0.5, beta_step=0.5, tol=1e-16, max_iters=10,
+                                                lam=0.0, xi=0.0))
     assert np.max(np.abs(ts.solution - plain.solution)) <= 1e-10
 
 

@@ -1,0 +1,89 @@
+"""The shared outer loop: evaluation counts, the carried stage, fail-fast checks."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gvikit import (
+    ALGORITHMS,
+    Box,
+    GviProblem,
+    IntersectionWithHyperplane,
+    ProblemSpec,
+    SolveConfig,
+    WholeSpace,
+    build_problem,
+    project_intersection,
+    residual,
+    solve_double_projection_optimal,
+)
+from gvikit.errors import UnsupportedSetError
+
+# T evaluations per iteration at a fixed rho: the stage at each new
+# iterate serves both the stop test and the next step.
+T_PER_ITERATION = {
+    "projection": 1,
+    "dynamical-explicit": 1,
+    "extragradient": 2,
+    "two-step": 2,
+    "whe": 2,
+    "three-step": 3,
+}
+
+
+def _counted(problem):
+    calls = [0]
+    T = problem.T
+
+    def counted_T(x):
+        calls[0] += 1
+        return T(x)
+
+    return dataclasses.replace(problem, T=counted_T), calls
+
+
+@pytest.mark.parametrize("alg", [*T_PER_ITERATION, "dp-basic", "dp-optimal"])
+def test_exact_operator_evaluations(alg):
+    problem, calls = _counted(build_problem(ProblemSpec("example4", n=50)))
+    report = ALGORITHMS[alg](problem, SolveConfig(rho=0.1))
+    assert report.iterations > 0
+    if alg in T_PER_ITERATION:
+        # The + 1 is the stage at the start point.
+        expected = T_PER_ITERATION[alg] * report.iterations + 1
+    else:
+        # Armijo evaluates m + 1 trial points, the last of which is reused
+        # as T(y); one more evaluation gives the stage at the new iterate.
+        expected = sum(rec.info["m"] + 2 for rec in report.trace[1:]) + 1
+    assert calls[0] == expected
+
+
+@pytest.mark.parametrize("max_iters", [5, 1000])
+@pytest.mark.parametrize("alg", list(ALGORITHMS))
+def test_reported_residual_is_the_residual_at_the_solution(alg, max_iters, example4_10):
+    config = SolveConfig(rho=0.5, alpha=0.1, max_iters=max_iters)
+    report = ALGORITHMS[alg](example4_10, config)
+    rho = report.details["rho"]
+    if alg.startswith("dp-"):
+        assert rho == 1.0
+    assert report.residual_norm == float(np.linalg.norm(residual(example4_10, report.solution, rho)))
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        IntersectionWithHyperplane(Box(np.zeros(4), np.ones(4)), np.ones(4), 2.0),
+        WholeSpace(),
+    ],
+    ids=["box-cut", "whole-space"],
+)
+def test_dp_optimal_rejects_unsupported_set_before_any_evaluation(K):
+    problem, calls = _counted(GviProblem(dim=4, T=lambda x: x - 0.3, K=K))
+    with pytest.raises(UnsupportedSetError, match=type(K).__name__):
+        solve_double_projection_optimal(problem)
+    assert calls[0] == 0
+
+
+def test_project_intersection_names_the_unsupported_base():
+    with pytest.raises(UnsupportedSetError, match="WholeSpace"):
+        project_intersection(WholeSpace(), np.ones(2), 1.0, np.zeros(2))

@@ -8,7 +8,6 @@ from oracles import grid_search_box2
 from gvikit import (
     GviProblem,
     SolveConfig,
-    TwoStepScheme,
     is_solution,
     solve_dynamical,
     solve_extragradient,
@@ -85,32 +84,27 @@ def test_extragradient_requires_inverse_for_nonidentity_g():
 def test_two_step_degenerates_to_projection(example4_5):
     cfg = SolveConfig(rho=0.5, max_iters=10, tol=1e-16)
     plain = solve_projection(example4_5, cfg)
-    degen = solve_two_step(example4_5, cfg, scheme=TwoStepScheme(lam=0.0, xi=0.0))
+    degen = solve_two_step(example4_5, SolveConfig(rho=0.5, max_iters=10, tol=1e-16, lam=0.0, xi=0.0))
     np.testing.assert_array_equal(plain.solution, degen.solution)
 
 
 def test_two_step_midpoint_converges(example4_10):
-    report = solve_two_step(
-        example4_10, SolveConfig(rho=0.5), scheme=TwoStepScheme(lam=0.5, xi=0.5)
-    )
+    report = solve_two_step(example4_10, SolveConfig(rho=0.5, lam=0.5, xi=0.5))
     assert report.converged
     assert np.max(np.abs(report.solution - 1.0)) <= 1e-6
 
 
 def test_two_step_schemes_are_distinct(example3_10):
-    cfg = SolveConfig(rho=0.2, max_iters=3, tol=1e-16)
-    a = solve_two_step(example3_10, cfg, scheme=TwoStepScheme(lam=0.5, xi=1.0))
-    b = solve_two_step(example3_10, cfg, scheme=TwoStepScheme(lam=0.0, xi=0.0))
+    a = solve_two_step(example3_10, SolveConfig(rho=0.2, max_iters=3, tol=1e-16, lam=0.5, xi=1.0))
+    b = solve_two_step(example3_10, SolveConfig(rho=0.2, max_iters=3, tol=1e-16, lam=0.0, xi=0.0))
     assert np.linalg.norm(a.solution - b.solution) > 1e-6
-    full = solve_two_step(
-        example3_10, SolveConfig(rho=0.2), scheme=TwoStepScheme(lam=0.5, xi=1.0)
-    )
+    full = solve_two_step(example3_10, SolveConfig(rho=0.2, lam=0.5, xi=1.0))
     assert full.converged
 
 
 def test_scheme_weight_validation():
     with pytest.raises(ValueError):
-        TwoStepScheme(lam=-0.1, xi=0.5)
+        SolveConfig(lam=-0.1)
 
 
 def test_dynamical_stationary_on_zero_operator(zero_operator_problem):
