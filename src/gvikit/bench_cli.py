@@ -1,300 +1,22 @@
-"""Benchmark problem registry, suite runner, and table emission.
+"""The `gvi` command line: benchmarking, obstacle error scans, and convexity certification.
 
-Houses the standard test problems (a four-dimensional economic-style
-operator on a simplex, two box-constrained affine families, and the
-obstacle instance), runs (problem, algorithm) grids against the solver
-registry, and renders deterministic CSV or markdown tables.  The `gvi`
-command group exposes benchmarking, obstacle error scans, and
-convexity certification.
+Problems, the solver registry, the suite runner and table rendering
+live in :mod:`gvikit.registry`; this module only parses options and
+config files, calls them, and maps outcomes to exit codes.
 """
 
 from __future__ import annotations
 
 import functools
-import importlib.util
-import time
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
 
 import click
-import numpy as np
 
 from . import convexity_lab
-from .auxiliary import solve_gap_descent, solve_three_step
-from .core import GviProblem, SolveConfig
+from .core import SolveConfig
 from .errors import GviError, ProblemSpecError
-from .obstacle_spline import ObstacleProblem, benchmark_problem, max_error
-from .sets import Box, Simplex
-from .solvers import (
-    solve_dynamical,
-    solve_extragradient,
-    solve_projection,
-    solve_two_step,
-)
-from .wiener_hopf import (
-    solve_double_projection_basic,
-    solve_double_projection_optimal,
-    solve_whe,
-)
-
-_PROBLEM_IDS = ("example2", "example3", "example4", "obstacle", "custom")
-
-ALGORITHMS = {
-    "projection": solve_projection,
-    "extragradient": solve_extragradient,
-    "two-step": solve_two_step,
-    "whe": solve_whe,
-    "dp-basic": solve_double_projection_basic,
-    "dp-optimal": solve_double_projection_optimal,
-    "three-step": solve_three_step,
-    "gap-descent": solve_gap_descent,
-    "dynamical-forward": functools.partial(solve_dynamical, variant="ForwardT"),
-    "dynamical-implicit": functools.partial(solve_dynamical, variant="FullImplicit"),
-    "dynamical-explicit": functools.partial(solve_dynamical, variant="ExplicitT"),
-}
-
-_COLUMNS = ("problem", "n", "algorithm", "iterations", "converged", "residual", "time")
-_NON_CONVERGED_MARK = "—"
-
-
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Identifier plus size parameters naming one registry problem.
-
-    The start-point rule for every registry problem is the projection
-    of the origin onto K, which lands on the uniform vector e for the
-    simplex instance and on 0 for the box instances.  default_rho None
-    lets each solver pick its own step.
-    """
-
-    id: str
-    n: Optional[int] = None
-    path: Optional[str] = None
-    default_rho: Optional[float] = None
-
-    def __post_init__(self):
-        if self.id not in _PROBLEM_IDS:
-            raise ProblemSpecError(f"unknown problem id {self.id!r}; expected one of {_PROBLEM_IDS}")
-        if self.id in ("example3", "example4"):
-            if self.n is None or self.n < 1:
-                raise ProblemSpecError(f"{self.id} requires n >= 1")
-        if self.id == "obstacle":
-            if self.n is None or self.n < 4 or (self.n + 1) % 4 != 0:
-                raise ProblemSpecError("obstacle requires n >= 4 with n + 1 divisible by 4")
-        if self.id == "custom" and not self.path:
-            raise ProblemSpecError("custom problems require a module path")
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """One (problem, algorithm) benchmark row.
-
-    iterations is the raw step count (None when the run errored out);
-    converged implies residual_norm <= tol.  error records a per-row
-    failure message without aborting the suite.
-    """
-
-    problem: str
-    algorithm: str
-    n: int
-    iterations: Optional[int]
-    converged: bool
-    residual_norm: float
-    wall_time: float
-    error: Optional[str] = None
-
-
-def _example2():
-    def T(x):
-        x1, x2, x3, x4 = x
-        return np.array(
-            [
-                -x2 + x3 + x4,
-                x1 - (4.5 * x3 + 2.7 * x4) / (x2 + 1.0),
-                5.0 - x1 - (0.5 * x3 + 0.3 * x4) / (x3 + 1.0),
-                3.0 - x1,
-            ]
-        )
-
-    return GviProblem(dim=4, T=T, K=Simplex(total=4.0))
-
-
-def _example3(n):
-    M = (
-        np.diag(4.0 * np.ones(n))
-        + np.diag(-np.ones(n - 1), 1)
-        + np.diag(-np.ones(n - 1), -1)
-    )
-    # Solution of Mx = e lies strictly inside [0,1]^n, so it solves the VI.
-    sol = np.linalg.solve(M, np.ones(n))
-    return GviProblem(
-        dim=n,
-        T=lambda x: M @ x - 1.0,
-        K=Box(np.zeros(n), np.ones(n)),
-        known_solution=sol,
-    )
-
-
-def _example4(n):
-    d = np.arange(1, n + 1) / n
-    return GviProblem(
-        dim=n,
-        T=lambda x: d * x - 1.0,
-        K=Box(np.zeros(n), np.ones(n)),
-        known_solution=np.ones(n),
-    )
-
-
-def _load_custom(path):
-    spec = importlib.util.spec_from_file_location("gvi_custom_problem", path)
-    if spec is None or spec.loader is None:
-        raise ProblemSpecError(f"cannot import custom problem module {path!r}")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    if not hasattr(module, "build"):
-        raise ProblemSpecError(f"custom module {path!r} defines no build() function")
-    return module.build()
-
-
-def build_problem(spec):
-    """Construct the problem a ProblemSpec names.
-
-    Parameters
-    ----------
-    spec : ProblemSpec
-
-    Returns
-    -------
-    GviProblem or ObstacleProblem
-    """
-    if spec.id == "example2":
-        return _example2()
-    if spec.id == "example3":
-        return _example3(spec.n)
-    if spec.id == "example4":
-        return _example4(spec.n)
-    if spec.id == "obstacle":
-        return benchmark_problem()
-    return _load_custom(spec.path)
-
-
-def _row_n(spec, problem):
-    if spec.n is not None:
-        return spec.n
-    return getattr(problem, "dim", 0)
-
-
-def run_suite(specs, algorithms, config=None):
-    """Run every (problem, algorithm) pair and collect one row each.
-
-    Individual run failures are recorded on their row and never abort
-    the suite.  Rows are ordered by spec order, then algorithm order.
-
-    Parameters
-    ----------
-    specs : sequence of ProblemSpec
-    algorithms : sequence of str
-        Ids drawn from the ALGORITHMS registry.
-    config : SolveConfig, optional
-
-    Returns
-    -------
-    list of BenchResult
-    """
-    for alg in algorithms:
-        if alg not in ALGORITHMS:
-            raise ProblemSpecError(
-                f"unknown algorithm id {alg!r}; expected one of {tuple(ALGORITHMS)}"
-            )
-    config = SolveConfig() if config is None else config
-    results = []
-    for spec in specs:
-        problem = None
-        build_error = None
-        try:
-            problem = build_problem(spec)
-        except Exception as exc:  # recorded per row below
-            build_error = str(exc)
-        if problem is not None and isinstance(problem, ObstacleProblem):
-            build_error = "obstacle instances run under the obstacle command, not the GVI suite"
-        for alg in algorithms:
-            if build_error is not None:
-                results.append(
-                    BenchResult(spec.id, alg, spec.n or 0, None, False, float("nan"), 0.0, build_error)
-                )
-                continue
-            run_config = config if spec.default_rho is None else replace(config, rho=spec.default_rho)
-            start = time.perf_counter()
-            try:
-                report = ALGORITHMS[alg](problem, run_config)
-                elapsed = time.perf_counter() - start
-                results.append(
-                    BenchResult(
-                        spec.id,
-                        alg,
-                        _row_n(spec, problem),
-                        report.iterations,
-                        report.converged,
-                        report.residual_norm,
-                        elapsed,
-                    )
-                )
-            except Exception as exc:
-                elapsed = time.perf_counter() - start
-                results.append(
-                    BenchResult(
-                        spec.id, alg, _row_n(spec, problem), None, False, float("nan"), elapsed, str(exc)
-                    )
-                )
-    return results
-
-
-def _cells(result):
-    iters = (
-        str(result.iterations)
-        if result.converged and result.iterations is not None
-        else _NON_CONVERGED_MARK
-    )
-    residual = "nan" if np.isnan(result.residual_norm) else f"{result.residual_norm:.6e}"
-    return (
-        result.problem,
-        str(result.n),
-        result.algorithm,
-        iters,
-        "true" if result.converged else "false",
-        residual,
-        f"{result.wall_time:.4f}",
-    )
-
-
-def emit_table(results, format="csv"):
-    """Render benchmark rows as CSV or markdown text.
-
-    Column order is fixed: problem, n, algorithm, iterations, converged,
-    residual, time.  Non-converged rows print an em-dash style marker in
-    the iterations column.
-
-    Parameters
-    ----------
-    results : sequence of BenchResult
-    format : str
-        "csv" or "markdown".
-
-    Returns
-    -------
-    str
-    """
-    if format not in ("csv", "markdown"):
-        raise ValueError(f"format must be 'csv' or 'markdown', got {format!r}")
-    rows = [_cells(r) for r in results]
-    if format == "csv":
-        lines = [",".join(_COLUMNS)]
-        lines += [",".join(cells) for cells in rows]
-        return "\n".join(lines) + "\n"
-    lines = ["| " + " | ".join(_COLUMNS) + " |"]
-    lines.append("|" + "|".join([" --- "] * len(_COLUMNS)) + "|")
-    lines += ["| " + " | ".join(cells) + " |" for cells in rows]
-    return "\n".join(lines) + "\n"
+from .obstacle_spline import benchmark_problem, max_error
+from .registry import ProblemSpec, emit_table, render_table, run_suite
 
 
 def parse_config_file(path):
@@ -341,6 +63,14 @@ def _solve_config_from(options):
     if options.get("max_iters") is not None:
         kwargs["max_iters"] = int(options["max_iters"])
     return SolveConfig(**kwargs)
+
+
+def _write(text, out_path):
+    if out_path:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 @click.group()
@@ -393,11 +123,7 @@ def bench(config_path, problem, n_text, alg_text, custom_path, rho, tol, max_ite
     except (GviError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(text, out_path)
     failures = [r for r in results if not r.converged]
     raise SystemExit(2 if failures else 0)
 
@@ -413,41 +139,32 @@ def obstacle(n_text, variant, fmt, out_path):
         problem = benchmark_problem()
         rows = []
         for n in _parse_int_list(n_text):
-            ProblemSpec("obstacle", n=n)
+            error = max_error(problem, n, variant=variant)
             h = (problem.b - problem.a) / (n + 1)
-            rows.append((str(n), f"{h:.6e}", f"{max_error(problem, n, variant=variant):.6e}"))
-        header = ("n", "h", "max_error")
-        if fmt == "csv":
-            text = "\n".join([",".join(header)] + [",".join(r) for r in rows]) + "\n"
-        else:
-            lines = ["| " + " | ".join(header) + " |", "|" + "|".join([" --- "] * 3) + "|"]
-            lines += ["| " + " | ".join(r) + " |" for r in rows]
-            text = "\n".join(lines) + "\n"
+            rows.append((str(n), f"{h:.6e}", f"{error:.6e}"))
+        text = render_table(("n", "h", "max_error"), rows, format=fmt)
     except (GviError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write(text, out_path)
     raise SystemExit(0)
 
 
-_CERT_CLASSES = (
-    "hos-convex",
-    "gradient",
-    "parallelogram",
-    "exp-convex",
-    "strong-exp-convex",
-    "exp-concave",
-    "hierarchy",
-)
+# Class id -> check; parallelogram checks a norm power, every other class a builtin function.
+_CERT_CHECKS = {
+    "hos-convex": convexity_lab.check_hos_convex,
+    "gradient": convexity_lab.check_gradient_char,
+    "parallelogram": convexity_lab.check_parallelogram,
+    "exp-convex": convexity_lab.check_exp_convex,
+    "strong-exp-convex": functools.partial(convexity_lab.check_exp_convex, strong=True),
+    "exp-concave": functools.partial(convexity_lab.check_exp_convex, concave=True),
+    "hierarchy": convexity_lab.check_hierarchy,
+}
 
 
 @cli.command()
 @click.option("--function", "function_id", default=None, help="Builtin function id; not needed for --class parallelogram.")
-@click.option("--class", "class_id", type=click.Choice(_CERT_CLASSES), required=True)
+@click.option("--class", "class_id", type=click.Choice(list(_CERT_CHECKS)), required=True)
 @click.option("--p", type=float, default=None)
 @click.option("--mu", type=float, default=None)
 @click.option("--samples", type=int, default=500)
@@ -459,15 +176,11 @@ def certify(function_id, class_id, p, mu, samples, dim, seed):
     Exit code 0 on a pass verdict, 2 on fail, 1 on error.
     """
     try:
+        check = _CERT_CHECKS[class_id]
         if class_id == "parallelogram":
-            report = convexity_lab.check_parallelogram(
-                p if p is not None else 2.0,
-                mu if mu is not None else 1.0,
-                samples=samples,
-                dim=dim,
-                seed=seed,
-            )
-            label = f"norm-power(p={p if p is not None else 2.0})"
+            p = 2.0 if p is None else p
+            report = check(p, 1.0 if mu is None else mu, samples=samples, dim=dim, seed=seed)
+            label = f"norm-power(p={p})"
         else:
             if function_id is None:
                 raise ValueError("pass --function <builtin id> for this class")
@@ -484,23 +197,11 @@ def certify(function_id, class_id, p, mu, samples, dim, seed):
                 overrides["mu"] = mu
             if overrides:
                 fut = replace(fut, **overrides)
-            if class_id == "hos-convex":
-                report = convexity_lab.check_hos_convex(fut, samples=samples, seed=seed)
-            elif class_id == "gradient":
-                report = convexity_lab.check_gradient_char(fut, samples=samples, seed=seed)
-            elif class_id == "exp-convex":
-                report = convexity_lab.check_exp_convex(fut, samples=samples, seed=seed)
-            elif class_id == "strong-exp-convex":
-                report = convexity_lab.check_exp_convex(fut, samples=samples, seed=seed, strong=True)
-            elif class_id == "exp-concave":
-                report = convexity_lab.check_exp_convex(fut, samples=samples, seed=seed, concave=True)
-            else:
-                report = convexity_lab.check_hierarchy(fut, samples=samples, seed=seed)
+            report = check(fut, samples=samples, seed=seed)
             label = function_id
         header = ("function", "class", "checked", "worst_violation", "verdict")
         row = (label, class_id, str(report.checked_count), f"{report.worst_violation:.6e}", report.verdict)
-        click.echo(",".join(header))
-        click.echo(",".join(row))
+        click.echo(render_table(header, [row]), nl=False)
     except (GviError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)

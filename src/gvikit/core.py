@@ -478,8 +478,11 @@ def check_divergence(u):
         raise DivergenceError(u)
 
 
-def inner_fixed_point(fn, w, config, tag):
+def inner_fixed_point(fn, w, config, tag, w_next=None):
     """Iterate w <- fn(w) until two successive values agree to inner_tol.
+
+    ``w_next``, when given, is fn(w) already known to the caller; it
+    counts as the first evaluation.
 
     Returns
     -------
@@ -492,10 +495,11 @@ def inner_fixed_point(fn, w, config, tag):
         Tagged with ``tag`` after inner_max_iters evaluations.
     """
     for inner in range(1, config.inner_max_iters + 1):
-        w_next = fn(w)
+        if w_next is None:
+            w_next = fn(w)
         if float(np.linalg.norm(w_next - w)) <= config.inner_tol:
             return w_next, inner
-        w = w_next
+        w, w_next = w_next, None
     raise InnerLoopError(tag)
 
 

@@ -36,20 +36,6 @@ class ArmijoResult:
     trial_T: np.ndarray
 
 
-@dataclass(frozen=True)
-class StepData:
-    """Search direction and step length of one double-projection iteration.
-
-    d is built exactly as -(eta*R(u) - eta*T(u) + T(y)); z and y are the
-    predictor point and the line-search point.
-    """
-
-    d: np.ndarray
-    alpha: float
-    z: np.ndarray
-    y: np.ndarray
-
-
 def armijo_search(problem, u, R_u, gamma, sigma, T_u=None):
     """Find the smallest m >= 0 with ⟨T(u) - T(u - γ^m R), R⟩ ≤ σ‖R‖².
 
@@ -93,10 +79,9 @@ def armijo_search(problem, u, R_u, gamma, sigma, T_u=None):
 
 
 def _search_step(problem, u, s, config):
-    # Predictor, line search, direction, and step length shared by both
+    # Line search, direction, and step length shared by both
     # double-projection correctors, from the rho = 1 stage s at u.
     R = s.r
-    z = recover_iterate(problem, u, s.gu - R)
     search = armijo_search(problem, u, R, config.gamma, config.sigma, T_u=s.t)
     eta = search.eta
     y = recover_iterate(problem, u, s.gu - eta * R)
@@ -111,7 +96,7 @@ def _search_step(problem, u, s, config):
         alpha = c / dsq
     else:
         alpha = c / np.sqrt(dsq)
-    return StepData(d=d, alpha=alpha, z=z, y=y), c, search
+    return d, alpha, c, search
 
 
 def _solve_double_projection(problem, config, u0, optimal):
@@ -121,18 +106,18 @@ def _solve_double_projection(problem, config, u0, optimal):
     u = start_point(problem, u0)
 
     def update(u, s, k):
-        step, c, search = _search_step(problem, u, s, config)
-        info = {"m": search.m, "eta": search.eta, "c": c, "alpha": step.alpha}
-        moved = s.gu + step.alpha * step.d
-        if optimal and float(step.d @ step.d) > 0.0:
+        d, alpha, c, search = _search_step(problem, u, s, config)
+        info = {"m": search.m, "eta": search.eta, "c": c, "alpha": alpha}
+        moved = s.gu + alpha * d
+        if optimal and float(d @ d) > 0.0:
             try:
-                g_next = project_intersection(problem.K, step.d, c + float(s.gu @ step.d), moved)
+                g_next = project_intersection(problem.K, d, c + float(s.gu @ d), moved)
             except InfeasibleSetError:
                 info["fallback"] = "basic"
                 g_next = project(problem.K, moved)
         else:
             g_next = project(problem.K, moved)
-        info["d"] = step.d.copy()
+        info["d"] = d.copy()
         info["step_g"] = g_next - s.gu
         return recover_iterate(problem, u, g_next), info
 

@@ -25,7 +25,7 @@ from gvikit.auxiliary import (
     solve_gap_descent,
     solve_three_step,
 )
-from gvikit.bench_cli import ALGORITHMS, ProblemSpec, build_problem
+from gvikit.registry import ALGORITHMS, ProblemSpec, build_problem
 from gvikit.convexity_lab import (
     builtin_functions,
     check_exp_convex,

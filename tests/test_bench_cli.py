@@ -1,20 +1,22 @@
 """Problem registry, suite runner, table emission, and the gvi CLI."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from gvikit.bench_cli import (
+import gvikit
+from gvikit.bench_cli import cli, main, parse_config_file
+from gvikit.registry import (
     ALGORITHMS,
     BenchResult,
     ProblemSpec,
     build_problem,
-    cli,
     emit_table,
-    main,
-    parse_config_file,
     run_suite,
 )
 from gvikit.core import SolveConfig
@@ -87,14 +89,6 @@ def test_run_suite_empty_specs():
 def test_run_suite_rejects_unknown_algorithm():
     with pytest.raises(ProblemSpecError, match="unknown algorithm"):
         run_suite([ProblemSpec("example4", n=5)], ["nosuch"])
-
-
-def test_run_suite_routes_obstacle_to_error_row():
-    rows = run_suite([ProblemSpec("obstacle", n=15)], ["projection"])
-    assert len(rows) == 1
-    assert not rows[0].converged
-    assert rows[0].iterations is None
-    assert "obstacle command" in rows[0].error
 
 
 def test_run_suite_records_solver_failures_per_row():
@@ -234,10 +228,14 @@ def test_cli_obstacle_scan():
     assert lines[2].startswith("31,3.125000e-02,")
 
 
-def test_cli_obstacle_rejects_bad_grid():
+@pytest.mark.parametrize("grids", ["10", "3", "-1", "15,10"])
+def test_cli_obstacle_rejects_bad_grid(grids):
     runner = CliRunner()
-    result = runner.invoke(cli, ["obstacle", "--n", "10"])
+    result = runner.invoke(cli, ["obstacle", "--n", grids])
     assert result.exit_code == 1
+    # A handled error exits through SystemExit; any other exception is a traceback.
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in all_output(result)
 
 
 def test_cli_certify_pass_fail_and_error():
@@ -263,3 +261,22 @@ def test_cli_certify_parallelogram_and_overrides():
     pushed = runner.invoke(cli, ["certify", "--class", "hos-convex", "--function", "affine",
                                  "--mu", "0.5"])
     assert pushed.exit_code == 2
+
+
+def _fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(gvikit.__file__)))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_import_gvikit_leaves_the_command_line_unloaded():
+    probe = "import sys, gvikit; print(sorted({'click', 'gvikit.bench_cli'} & set(sys.modules)))"
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_writes_nothing_to_stderr():
+    proc = _fresh_python("-m", "gvikit.bench_cli", "obstacle", "--n", "15")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("n,h,max_error\n15,6.250000e-02,")
+    assert proc.stderr == ""

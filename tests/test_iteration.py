@@ -87,3 +87,20 @@ def test_dp_optimal_rejects_unsupported_set_before_any_evaluation(K):
 def test_project_intersection_names_the_unsupported_base():
     with pytest.raises(UnsupportedSetError, match="WholeSpace"):
         project_intersection(WholeSpace(), np.ones(2), 1.0, np.zeros(2))
+
+
+@pytest.mark.parametrize("alg", ["dynamical-forward", "dynamical-implicit"])
+def test_dynamical_inner_loop_does_not_repeat_the_stage_evaluation(alg):
+    # The inner fixed point starts from the carried stage's projection,
+    # so T is never called twice in a row at the same point.
+    base = build_problem(ProblemSpec("example4", n=50))
+    points = []
+
+    def recording_T(x):
+        points.append(np.array(x, dtype=float))
+        return base.T(x)
+
+    report = ALGORITHMS[alg](dataclasses.replace(base, T=recording_T), SolveConfig(rho=0.1))
+    assert report.iterations > 0
+    repeats = [k for k in range(1, len(points)) if np.array_equal(points[k], points[k - 1])]
+    assert repeats == []
