@@ -119,11 +119,10 @@ def bench(config_path, problem, n_text, alg_text, custom_path, rho, tol, max_ite
         specs = [ProblemSpec(problem, n=size, path=custom_path) for size in sizes]
         algorithms = [tok.strip() for tok in alg_text.split(",") if tok.strip()]
         results = run_suite(specs, algorithms, _solve_config_from(options))
-        text = emit_table(results, format=fmt)
+        _write(emit_table(results, format=fmt), out_path)
     except (GviError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
-    _write(text, out_path)
     failures = [r for r in results if not r.converged]
     raise SystemExit(2 if failures else 0)
 
@@ -142,11 +141,10 @@ def obstacle(n_text, variant, fmt, out_path):
             error = max_error(problem, n, variant=variant)
             h = (problem.b - problem.a) / (n + 1)
             rows.append((str(n), f"{h:.6e}", f"{error:.6e}"))
-        text = render_table(("n", "h", "max_error"), rows, format=fmt)
-    except (GviError, ValueError) as exc:
+        _write(render_table(("n", "h", "max_error"), rows, format=fmt), out_path)
+    except (GviError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         raise SystemExit(1)
-    _write(text, out_path)
     raise SystemExit(0)
 
 

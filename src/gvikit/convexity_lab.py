@@ -9,11 +9,14 @@ over continua.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import erf
+
+from .errors import NumericDomainError
 
 _BASE_TOL = 1e-9
 _FD_STEP = 1e-6
@@ -58,12 +61,8 @@ class FunctionUnderTest:
         if self.grad_F is not None:
             return np.atleast_1d(np.asarray(self.grad_F(y), dtype=float))
         y = np.asarray(y, dtype=float)
-        out = np.empty(y.size)
-        for k in range(y.size):
-            step = np.zeros(y.size)
-            step[k] = _FD_STEP
-            out[k] = (self.value(y + step) - self.value(y - step)) / (2.0 * _FD_STEP)
-        return out
+        steps = _FD_STEP * np.eye(y.size)
+        return np.array([(self.value(y + step) - self.value(y - step)) / (2.0 * _FD_STEP) for step in steps])
 
 
 @dataclass(frozen=True)
@@ -88,40 +87,103 @@ class CertReport:
         return self.verdict == "pass"
 
 
-def _tolerance(scale):
-    return _BASE_TOL * max(1.0, scale)
+class _Pair:
+    """Values at a pair, each computed once, and every class's inequality on them."""
+
+    def __init__(self, fut, u, v):
+        self.fut = fut
+        self.yu, self.yv = fut.g_image(u), fut.g_image(v)
+        self.Fu, self.Fv = fut.value(self.yu), fut.value(self.yv)
+        with np.errstate(over="ignore"):
+            self.eu, self.ev = np.exp(self.Fu), np.exp(self.Fv)
+        self.gap = float(np.linalg.norm(self.yv - self.yu))
+
+    def F_at(self, t):
+        return self.fut.value(self.yu + t * (self.yv - self.yu))
+
+    def hos(self, t):
+        p, mu = self.fut.p, self.fut.mu
+        bound = (1.0 - t) * self.Fu + t * self.Fv - mu * (t**p * (1.0 - t) + t * (1.0 - t) ** p) * self.gap**p
+        return self.F_at(t) - bound
+
+    def gradient_char(self):
+        fut, growth = self.fut, self.gap**self.fut.p
+        grad_u = fut.gradient(self.yu)
+        lower = self.Fu + float(grad_u @ (self.yv - self.yu)) + fut.mu * growth - self.Fv
+        mono = 2.0 * fut.mu * growth - float((grad_u - fut.gradient(self.yv)) @ (self.yu - self.yv))
+        return max(lower, mono)
+
+    def exp_curve(self, t, strong):
+        strengthening = self.fut.mu * t * (1.0 - t) * self.gap**2 if strong else 0.0
+        bound = (1.0 - t) * self.eu + t * self.ev - strengthening
+        return float(np.exp(self.F_at(t)) - bound)
+
+    def exp_differential(self, strong):
+        mu = self.fut.mu if strong else 0.0
+        lhs = float(self.eu * self.fut.gradient(self.yu) @ (self.yv - self.yu)) + mu * self.gap**2
+        return lhs - (float(self.ev) - self.eu)
+
+    def hierarchy(self, t, tol=1e-12):
+        """(implication violation, leg values) at the triple; see hierarchy_violation."""
+        e_mid = float(np.exp(self.F_at(t)))
+        e_u, e_v = float(self.eu), float(self.ev)
+        legs = {"convex": e_mid - ((1.0 - t) * e_u + t * e_v), "quasi": e_mid - max(e_u, e_v)}
+        worst = -np.inf
+        if self.Fu > 0 and self.Fv > 0:
+            legs["log"] = e_mid - e_u ** (1.0 - t) * e_v**t
+            if legs["log"] <= tol:
+                worst = max(worst, legs["convex"])
+        if legs["convex"] <= tol:
+            worst = max(worst, legs["quasi"])
+        return worst, legs
 
 
-def _sweep(fut, samples, t_grid, seed, violation_fn):
-    """Shared driver: track the worst violation and the value scale."""
+def _sweep(draw, samples, seed, pair, t_grid=(None,), details=None):
+    """The one sampling loop: per sample draw u, then v, and sweep t_grid.
+
+    pair(u, v) returns (scale, at); at(t) returns the triple's violation
+    and a dict of leg values.  t_grid=None is default_t_grid(); checks
+    without t keep (None,).  A triple counts only if its scale, set by
+    the two ends, is finite and none of its values is NaN: an end whose
+    e^F overflows tests nothing, while an overflow at the blend point
+    alone is a real, infinite violation.  details(low, high) gets the
+    smallest and largest value of each leg.
+    """
+    t_values = [None if t is None else float(t) for t in (default_t_grid() if t_grid is None else t_grid)]
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    if not t_values:
+        raise ValueError("t_grid must hold at least one t")
     rng = np.random.default_rng(seed)
-    t_grid = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    worst = -np.inf
-    witness = None
-    scale = 0.0
-    count = 0
-    for _ in range(samples):
-        u = fut.domain_sampler(rng)
-        v = fut.domain_sampler(rng)
-        for t in t_grid:
-            viol, this_scale = violation_fn(u, v, float(t))
-            count += 1
-            scale = max(scale, this_scale)
-            if viol > worst:
-                worst, witness = viol, (u, v, float(t))
-    verdict = "pass" if worst <= _tolerance(scale) else "fail"
-    return count, worst, witness, verdict, scale
+    worst, witness, scale, count = -np.inf, None, 0.0, 0
+    low, high = {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(samples):
+            u = draw(rng)
+            v = draw(rng)
+            pair_scale, at = pair(u, v)
+            if not np.isfinite(pair_scale):
+                continue
+            for t in t_values:
+                viol, legs = at(t)
+                if any(math.isnan(x) for x in (viol, *legs.values())):
+                    continue
+                count += 1
+                scale = max(scale, pair_scale)
+                if viol > worst:
+                    worst, witness = viol, (u, v, t)
+                for leg, value in legs.items():
+                    low[leg] = min(low.get(leg, np.inf), value)
+                    high[leg] = max(high.get(leg, -np.inf), value)
+    if count == 0:
+        raise NumericDomainError("F", "no sampled triple had finite values to check")
+    verdict = "pass" if worst <= _BASE_TOL * max(1.0, scale) else "fail"
+    return CertReport(count, worst, witness, verdict, None if details is None else details(low, high))
 
 
 def hos_convex_violation(fut, u, v, t):
     """LHS - RHS of the higher order strong convexity inequality."""
-    yu, yv = fut.g_image(u), fut.g_image(v)
-    mid = yu + t * (yv - yu)
-    gap = float(np.linalg.norm(yv - yu))
-    bound = (1.0 - t) * fut.value(yu) + t * fut.value(yv) - fut.mu * (
-        t**fut.p * (1.0 - t) + t * (1.0 - t) ** fut.p
-    ) * gap**fut.p
-    return fut.value(mid) - bound
+    return _Pair(fut, u, v).hos(t)
 
 
 def check_hos_convex(fut, samples=200, t_grid=None, seed=0):
@@ -143,23 +205,16 @@ def check_hos_convex(fut, samples=200, t_grid=None, seed=0):
     CertReport
     """
 
-    def violation(u, v, t):
-        yu, yv = fut.g_image(u), fut.g_image(v)
-        scale = max(abs(fut.value(yu)), abs(fut.value(yv)))
-        return hos_convex_violation(fut, u, v, t), scale
+    def pair(u, v):
+        e = _Pair(fut, u, v)
+        return max(abs(e.Fu), abs(e.Fv)), lambda t: (e.hos(t), {})
 
-    count, worst, witness, verdict, _ = _sweep(fut, samples, t_grid, seed, violation)
-    return CertReport(count, worst, witness, verdict)
+    return _sweep(fut.domain_sampler, samples, seed, pair, t_grid)
 
 
 def gradient_char_violation(fut, u, v):
     """Worst of the first-order and monotonicity violations at a pair."""
-    yu, yv = fut.g_image(u), fut.g_image(v)
-    gap = float(np.linalg.norm(yv - yu))
-    gu_grad = fut.gradient(yu)
-    lower = fut.value(yu) + float(gu_grad @ (yv - yu)) + fut.mu * gap**fut.p - fut.value(yv)
-    mono = 2.0 * fut.mu * gap**fut.p - float((gu_grad - fut.gradient(yv)) @ (yu - yv))
-    return max(lower, mono)
+    return _Pair(fut, u, v).gradient_char()
 
 
 def check_gradient_char(fut, samples=200, seed=0):
@@ -180,29 +235,26 @@ def check_gradient_char(fut, samples=200, seed=0):
     -------
     CertReport
     """
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    witness = None
-    scale = 0.0
-    for _ in range(samples):
-        u = fut.domain_sampler(rng)
-        v = fut.domain_sampler(rng)
-        yu, yv = fut.g_image(u), fut.g_image(v)
-        scale = max(scale, abs(fut.value(yu)), abs(fut.value(yv)))
-        viol = gradient_char_violation(fut, u, v)
-        if viol > worst:
-            worst, witness = viol, (u, v, None)
-    verdict = "pass" if worst <= _tolerance(scale) else "fail"
-    return CertReport(samples, worst, witness, verdict)
+
+    def pair(u, v):
+        e = _Pair(fut, u, v)
+        return max(abs(e.Fu), abs(e.Fv)), lambda t: (e.gradient_char(), {})
+
+    return _sweep(fut.domain_sampler, samples, seed, pair)
+
+
+def _parallelogram(p, mu, u, v):
+    """Lower-law terms at a pair: (violation, rhs, ||u+v||^p, ||v-u||^p)."""
+    u, v = (np.atleast_1d(np.asarray(w, dtype=float)) for w in (u, v))
+    plus = float(np.linalg.norm(u + v)) ** p
+    gap = float(np.linalg.norm(v - u)) ** p
+    rhs = 2.0 ** (p - 1.0) * (float(np.linalg.norm(u)) ** p + float(np.linalg.norm(v)) ** p)
+    return plus + mu * gap - rhs, rhs, plus, gap
 
 
 def parallelogram_violation(p, mu, u, v):
     """Signed lower-law violation ||u+v||^p + mu||v-u||^p - 2^{p-1}(...)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    lhs = float(np.linalg.norm(u + v)) ** p + mu * float(np.linalg.norm(v - u)) ** p
-    rhs = 2.0 ** (p - 1.0) * (float(np.linalg.norm(u)) ** p + float(np.linalg.norm(v)) ** p)
-    return lhs - rhs
+    return _parallelogram(p, mu, u, v)[0]
 
 
 def check_parallelogram(p, mu, samples=500, dim=3, seed=0):
@@ -228,49 +280,31 @@ def check_parallelogram(p, mu, samples=500, dim=3, seed=0):
     """
     if not p > 1:
         raise ValueError("p must exceed 1")
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    witness = None
-    scale = 0.0
-    equality = 0.0
-    quotients = []
-    for _ in range(samples):
-        u = rng.standard_normal(dim)
-        v = rng.standard_normal(dim)
-        viol = parallelogram_violation(p, mu, u, v)
-        rhs = 2.0 ** (p - 1.0) * (float(np.linalg.norm(u)) ** p + float(np.linalg.norm(v)) ** p)
-        scale = max(scale, abs(rhs))
-        equality = max(equality, abs(viol))
-        gap = float(np.linalg.norm(v - u)) ** p
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+
+    def pair(u, v):
+        viol, rhs, plus, gap = _parallelogram(p, mu, u, v)
+        legs = {"equality_violation": abs(viol)}
         if gap > 1e-12:
-            quotients.append((rhs - float(np.linalg.norm(u + v)) ** p) / gap)
-        if viol > worst:
-            worst, witness = viol, (u, v, None)
-    details = {
-        "mu_lower": float(min(quotients)),
-        "mu_upper": float(max(quotients)),
-        "equality_violation": equality,
-    }
-    verdict = "pass" if worst <= _tolerance(scale) else "fail"
-    return CertReport(samples, worst, witness, verdict, details=details)
+            legs["quotient"] = (rhs - plus) / gap
+        return abs(rhs), lambda t: (viol, legs)
+
+    def details(low, high):
+        return {"mu_lower": low.get("quotient", np.nan), "mu_upper": high.get("quotient", np.nan),
+                "equality_violation": high["equality_violation"]}
+
+    return _sweep(lambda rng: rng.standard_normal(dim), samples, seed, pair, details=details)
 
 
 def exp_convex_violation(fut, u, v, t, strong=False):
     """LHS - RHS of the (strong) exponential convexity inequality."""
-    yu, yv = fut.g_image(u), fut.g_image(v)
-    mid = yu + t * (yv - yu)
-    strengthening = fut.mu * t * (1.0 - t) * float(np.linalg.norm(yv - yu)) ** 2 if strong else 0.0
-    bound = (1.0 - t) * np.exp(fut.value(yu)) + t * np.exp(fut.value(yv)) - strengthening
-    return float(np.exp(fut.value(mid)) - bound)
+    return _Pair(fut, u, v).exp_curve(t, strong)
 
 
 def exp_gradient_violation(fut, u, v, strong=False):
     """LHS - RHS of the differential exponential convexity bound."""
-    yu, yv = fut.g_image(u), fut.g_image(v)
-    eu = np.exp(fut.value(yu))
-    mu = fut.mu if strong else 0.0
-    lhs = float(eu * fut.gradient(yu) @ (yv - yu)) + mu * float(np.linalg.norm(yv - yu)) ** 2
-    return lhs - (float(np.exp(fut.value(yv))) - eu)
+    return _Pair(fut, u, v).exp_differential(strong)
 
 
 def check_exp_convex(fut, samples=200, t_grid=None, seed=0, strong=False, concave=False):
@@ -297,33 +331,21 @@ def check_exp_convex(fut, samples=200, t_grid=None, seed=0, strong=False, concav
     CertReport
     """
     if concave:
-        flipped = replace(
-            fut,
-            F=lambda y: -fut.F(y),
-            grad_F=None if fut.grad_F is None else (lambda y: -np.asarray(fut.grad_F(y))),
-        )
-        return check_exp_convex(flipped, samples, t_grid, seed, strong=strong, concave=False)
+        neg_grad = None if fut.grad_F is None else (lambda y: -np.asarray(fut.grad_F(y)))
+        flipped = replace(fut, F=lambda y: -fut.F(y), grad_F=neg_grad)
+        return check_exp_convex(flipped, samples, t_grid, seed, strong=strong)
 
-    curve_worst = -np.inf
-    grad_worst = -np.inf
+    def pair(u, v):
+        e = _Pair(fut, u, v)
+        legs = {} if fut.grad_F is None else {"differential": e.exp_differential(strong)}
 
-    def violation(u, v, t):
-        nonlocal curve_worst, grad_worst
-        yu, yv = fut.g_image(u), fut.g_image(v)
-        scale = max(np.exp(fut.value(yu)), np.exp(fut.value(yv)))
-        viol = exp_convex_violation(fut, u, v, t, strong=strong)
-        curve_worst = max(curve_worst, viol)
-        if fut.grad_F is not None:
-            gviol = exp_gradient_violation(fut, u, v, strong=strong)
-            grad_worst = max(grad_worst, gviol)
-            viol = max(viol, gviol)
-        return viol, scale
+        def at(t):
+            curve = e.exp_curve(t, strong)
+            return max([curve, *legs.values()]), {"curve": curve, **legs}
 
-    count, worst, witness, verdict, _ = _sweep(fut, samples, t_grid, seed, violation)
-    details = {"curve": curve_worst}
-    if fut.grad_F is not None:
-        details["differential"] = grad_worst
-    return CertReport(count, worst, witness, verdict, details=details)
+        return max(e.eu, e.ev), at
+
+    return _sweep(fut.domain_sampler, samples, seed, pair, t_grid, lambda low, high: high)
 
 
 def hierarchy_violation(fut, u, v, t, tol=1e-12):
@@ -334,20 +356,7 @@ def hierarchy_violation(fut, u, v, t, tol=1e-12):
     where the convex inequality held.  The log leg is only consulted
     where F > 0 at both ends.
     """
-    yu, yv = fut.g_image(u), fut.g_image(v)
-    mid = yu + t * (yv - yu)
-    e_mid = float(np.exp(fut.value(mid)))
-    e_u, e_v = float(np.exp(fut.value(yu))), float(np.exp(fut.value(yv)))
-    convex_viol = e_mid - ((1.0 - t) * e_u + t * e_v)
-    quasi_viol = e_mid - max(e_u, e_v)
-    worst = -np.inf
-    if fut.value(yu) > 0 and fut.value(yv) > 0:
-        log_viol = e_mid - e_u ** (1.0 - t) * e_v**t
-        if log_viol <= tol:
-            worst = max(worst, convex_viol)
-    if convex_viol <= tol:
-        worst = max(worst, quasi_viol)
-    return worst
+    return _Pair(fut, u, v).hierarchy(t, tol)[0]
 
 
 def check_hierarchy(fut, samples=200, t_grid=None, seed=0):
@@ -369,22 +378,12 @@ def check_hierarchy(fut, samples=200, t_grid=None, seed=0):
     -------
     CertReport
     """
-    legs = {"log": -np.inf, "convex": -np.inf, "quasi": -np.inf}
 
-    def violation(u, v, t):
-        yu, yv = fut.g_image(u), fut.g_image(v)
-        mid = yu + t * (yv - yu)
-        e_mid = float(np.exp(fut.value(mid)))
-        e_u, e_v = float(np.exp(fut.value(yu))), float(np.exp(fut.value(yv)))
-        scale = max(e_u, e_v)
-        legs["convex"] = max(legs["convex"], e_mid - ((1.0 - t) * e_u + t * e_v))
-        legs["quasi"] = max(legs["quasi"], e_mid - max(e_u, e_v))
-        if fut.value(yu) > 0 and fut.value(yv) > 0:
-            legs["log"] = max(legs["log"], e_mid - e_u ** (1.0 - t) * e_v**t)
-        return hierarchy_violation(fut, u, v, t), scale
+    def pair(u, v):
+        e = _Pair(fut, u, v)
+        return max(e.eu, e.ev), e.hierarchy
 
-    count, worst, witness, verdict, _ = _sweep(fut, samples, t_grid, seed, violation)
-    return CertReport(count, worst, witness, verdict, details=dict(legs))
+    return _sweep(fut.domain_sampler, samples, seed, pair, t_grid, lambda low, high: {"log": -np.inf, **high})
 
 
 def _interval_sampler(lo, hi):

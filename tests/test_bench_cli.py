@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import gvikit
-from gvikit.bench_cli import cli, main, parse_config_file
+from gvikit.bench_cli import _CERT_CHECKS, cli, main, parse_config_file
 from gvikit.registry import (
     ALGORITHMS,
     BenchResult,
@@ -261,6 +261,29 @@ def test_cli_certify_parallelogram_and_overrides():
     pushed = runner.invoke(cli, ["certify", "--class", "hos-convex", "--function", "affine",
                                  "--mu", "0.5"])
     assert pushed.exit_code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("class_id", list(_CERT_CHECKS))
+def test_cli_certify_rejects_nonpositive_samples(class_id, samples):
+    args = ["certify", "--class", class_id, "--samples", samples]
+    if class_id != "parallelogram":
+        args += ["--function", "sine"]
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: samples must be at least 1" in all_output(result)
+
+
+@pytest.mark.parametrize("command", [
+    ["bench", "--problem", "example4", "--n", "10", "--alg", "projection", "--rho", "0.5"],
+    ["obstacle", "--n", "15"],
+])
+def test_cli_unwritable_out_path_is_an_error_line(tmp_path, command):
+    result = CliRunner().invoke(cli, [*command, "--out", str(tmp_path / "missing" / "x.csv")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in all_output(result)
 
 
 def _fresh_python(*args):

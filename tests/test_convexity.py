@@ -1,5 +1,6 @@
 """Sampling certification of convexity-type function classes."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,9 +16,12 @@ from gvikit.convexity_lab import (
     check_parallelogram,
     default_t_grid,
     exp_convex_violation,
+    gradient_char_violation,
+    hierarchy_violation,
     hos_convex_violation,
     parallelogram_violation,
 )
+from gvikit.errors import NumericDomainError
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +175,107 @@ def test_function_under_test_validation():
         FunctionUnderTest(F=lambda y: 0.0, domain_sampler=lambda rng: rng.uniform(0, 1, 1), p=1.0)
     with pytest.raises(ValueError):
         FunctionUnderTest(F=lambda y: 0.0, domain_sampler=lambda rng: rng.uniform(0, 1, 1), mu=-0.1)
+
+
+def _counted(fut):
+    """fut with F and grad_F wrapped to count their calls."""
+    calls = {"F": 0, "grad_F": 0}
+
+    def F(y):
+        calls["F"] += 1
+        return fut.F(y)
+
+    def grad_F(y):
+        calls["grad_F"] += 1
+        return fut.grad_F(y)
+
+    return replace(fut, F=F, grad_F=grad_F), calls
+
+
+@pytest.mark.parametrize("t_grid", [None, [0.0, 0.25, 1.0]])
+@pytest.mark.parametrize("check, grad_per_pair", [
+    (check_hos_convex, 0),
+    (check_exp_convex, 1),
+    (check_hierarchy, 0),
+])
+def test_blend_checks_evaluate_F_once_per_point(registry, check, grad_per_pair, t_grid):
+    fut, calls = _counted(registry["quadratic"])
+    report = check(fut, samples=40, t_grid=t_grid)
+    n_t = len(default_t_grid() if t_grid is None else t_grid)
+    assert report.checked_count == 40 * n_t
+    assert calls == {"F": 40 * (2 + n_t), "grad_F": 40 * grad_per_pair}
+
+
+def test_gradient_check_evaluates_each_end_once(registry):
+    fut, calls = _counted(registry["quadratic"])
+    report = check_gradient_char(fut, samples=40)
+    assert report.checked_count == 40
+    assert calls == {"F": 80, "grad_F": 80}
+
+
+def test_overflowed_samples_are_not_counted():
+    # e^1000 overflows, so every pair with an end above 1 tests nothing; on
+    # [-1, 1] alone e^{-y^2} is not convex.
+    fut = FunctionUnderTest(
+        F=lambda y: 1000.0 if y[0] > 1 else -float(y[0] ** 2),
+        domain_sampler=lambda rng: rng.uniform(-1, 1.5, 1),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = check_exp_convex(fut, samples=200)
+        hierarchy = check_hierarchy(fut, samples=200)
+    assert report.verdict == "fail"
+    assert 0 < report.checked_count < 2200
+    assert report.witness[0][0] <= 1 and report.witness[1][0] <= 1
+    assert 0 < hierarchy.checked_count < 2200
+
+
+def test_overflow_at_the_blend_point_alone_is_a_violation():
+    # Between finite ends, e^1000 at the blend point exceeds any finite bound.
+    bump = FunctionUnderTest(
+        F=lambda y: 1000.0 if abs(y[0]) < 0.1 else 0.0,
+        domain_sampler=lambda rng: rng.uniform(-1, 1, 1),
+    )
+    report = check_exp_convex(bump, samples=200)
+    assert report.verdict == "fail" and report.worst_violation == np.inf
+    u, v, t = report.witness
+    assert abs(u[0]) >= 0.1 and abs(v[0]) >= 0.1
+    assert check_hierarchy(bump, samples=200).details["convex"] == np.inf
+
+
+def test_nan_value_tests_nothing():
+    # Ends are drawn outside the hole, so only blend points hit the NaN.  It
+    # fails every hierarchy premise, so the implication violation alone
+    # reads -inf; the NaN legs still exclude the triple.
+    holed = FunctionUnderTest(
+        F=lambda y: np.nan if abs(y[0]) < 0.1 else float(y[0] ** 2),
+        domain_sampler=lambda rng: rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0, 1),
+    )
+    report = check_hierarchy(holed, samples=200)
+    assert 0 < report.checked_count < 200 * len(default_t_grid())
+    assert all(np.isfinite(value) for value in report.details.values())
+
+
+@pytest.mark.parametrize("check", [check_exp_convex, check_hierarchy])
+def test_all_overflow_raises(check):
+    fut = FunctionUnderTest(F=lambda y: 1000.0, domain_sampler=lambda rng: rng.uniform(-1, 1, 1))
+    with pytest.raises(NumericDomainError):
+        check(fut, samples=20)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_every_check_rejects_nonpositive_samples(registry, samples):
+    fut = registry["quadratic"]
+    for check in (check_hos_convex, check_gradient_char, check_exp_convex, check_hierarchy):
+        with pytest.raises(ValueError, match="samples"):
+            check(fut, samples=samples)
+    with pytest.raises(ValueError, match="samples"):
+        check_parallelogram(2.0, 1.0, samples=samples)
+
+
+def test_gradient_and_hierarchy_witnesses_reproduce(registry):
+    grad = check_gradient_char(registry["sine"], samples=100)
+    u, v, t = grad.witness
+    assert t is None and gradient_char_violation(registry["sine"], u, v) == grad.worst_violation
+    hier = check_hierarchy(registry["abs-sqrt"], samples=100)
+    assert hierarchy_violation(registry["abs-sqrt"], *hier.witness) == hier.worst_violation
