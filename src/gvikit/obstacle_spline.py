@@ -16,9 +16,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.interpolate import PPoly
-from scipy.linalg import solve_banded
 
 from .errors import AssemblyError, GridError
 
@@ -82,13 +79,15 @@ def _region_mask(problem, x):
     return (x > problem.c + 1e-12) & (x <= problem.d + 1e-12)
 
 
+def _at_nodes(fn, x):
+    return np.array([fn(xi) for xi in x], dtype=float)
+
+
 def _operator_values(problem, x, sigma, s=None):
     """T_i = f_i outside the contact region and p_i s_i + f_i + r inside."""
-    f_vals = np.array([problem.f(xi) for xi in x], dtype=float)
-    t = f_vals + np.where(sigma, problem.r, 0.0)
+    t = _at_nodes(problem.f, x) + np.where(sigma, problem.r, 0.0)
     if s is not None:
-        p_vals = np.array([problem.p(xi) for xi in x], dtype=float)
-        t = t + np.where(sigma, p_vals * s, 0.0)
+        t = t + np.where(sigma, _at_nodes(problem.p, x) * s, 0.0)
     return t
 
 
@@ -126,42 +125,33 @@ def assemble(problem, n, variant="corrected"):
         raise GridError("n + 1 must be divisible by 4 (and n >= 4)")
     h, x = _grid(problem, n)
     sigma = _region_mask(problem, x)
-    p_vals = np.array([problem.p(xi) for xi in x], dtype=float)
     t_known = _operator_values(problem, x, sigma)  # T with the p*s part left out
-    w0 = h**3 / 12.0
+    # Row i of the system (node i = 1..n) couples nodes i-2 .. i+1: the
+    # stencil acts on s there and the weights on T.
+    stencil = np.tile([-1.0, 3.0, -3.0, 1.0], (n, 1))
+    weights = np.tile([1.0, 5.0, 5.0, 1.0], (n, 1))
+    stencil[0], weights[0] = [0.0, 3.0, -4.0, 1.0], [0.0, 3.0, 4.0, 1.0]
+    stencil[-1] = [-3.0, 8.0, -5.0, 0.0]
+    weights[-1] = [3.0, 10.0, 31.0, 0.0] if variant == "verbatim" else [3.0, 16.0, 19.0, 6.0]
+    weights *= h**3 / 12.0
+    nodes = np.arange(1, n + 1)[:, None] + np.arange(-2, 2)
+    unknown = (nodes >= 1) & (nodes <= n)
+    at = np.clip(nodes, 0, n + 1)
 
-    rows = []
-    # left row, stencil on s_0..s_2, T-weights (3, 4, 1)
-    rows.append(((1, np.array([3.0, -4.0, 1.0]), 0), (np.array([3.0, 4.0, 1.0]) * w0, 0),
-                 -2.0 * h * problem.beta1))
-    for i in range(2, n):
-        rows.append(((i, np.array([-1.0, 3.0, -3.0, 1.0]), i - 2),
-                     (np.array([1.0, 5.0, 5.0, 1.0]) * w0, i - 2), 0.0))
-    if variant == "verbatim":
-        rows.append(((n, np.array([-3.0, 8.0, -5.0]), n - 2),
-                     (np.array([3.0, 10.0, 31.0]) * w0, n - 2), -2.0 * h * problem.beta2))
-    else:
-        rows.append(((n, np.array([-3.0, 8.0, -5.0]), n - 2),
-                     (np.array([3.0, 16.0, 19.0, 6.0]) * w0, n - 2), -2.0 * h * problem.beta2))
-
+    # The p*s part of T on the contact interval moves into the matrix
+    # (node 0 is never in contact, as a < c, and the right closure drops
+    # it at node n+1); column c of a row lands on band row 3 - c.
+    coupling = stencil - np.where(unknown & sigma[at], weights * _at_nodes(problem.p, x)[at], 0.0)
     ab = np.zeros((4, n))
+    row, col = np.nonzero(unknown)
+    ab[3 - col, row + col - 2] = coupling[row, col]
+
     rhs = np.zeros(n)
-    for row, ((_, coeffs, j0), (weights, k0), extra) in enumerate(rows):
-        rhs[row] = extra
-        for off, coeff in enumerate(coeffs):
-            j = j0 + off
-            if 1 <= j <= n:
-                ab[1 + row - (j - 1), j - 1] += coeff
-            else:
-                rhs[row] -= coeff * (problem.alpha if j == 0 else 0.0)
-        for off, w in enumerate(weights):
-            k = k0 + off
-            rhs[row] += w * t_known[k]
-            if sigma[k]:
-                if 1 <= k <= n:
-                    ab[1 + row - (k - 1), k - 1] -= w * p_vals[k]
-                else:
-                    rhs[row] += w * p_vals[k] * (problem.alpha if k == 0 else 0.0)
+    rhs[0], rhs[-1] = -2.0 * h * problem.beta1, -2.0 * h * problem.beta2
+    known_s = nodes == 0  # s_0 = u(a)
+    rhs[known_s.any(axis=1)] -= stencil[known_s] * problem.alpha
+    for c in range(4):
+        rhs += weights[:, c] * t_known[at[:, c]]
     return SplineSystem(n=n, h=h, matrix=ab, rhs=rhs)
 
 
@@ -186,6 +176,8 @@ def solve_grid(problem, n, variant="corrected"):
     AssemblyError
         When the banded system is singular.
     """
+    from scipy.linalg import solve_banded
+
     system = assemble(problem, n, variant)
     try:
         interior = solve_banded((2, 1), system.matrix, system.rhs)
@@ -194,9 +186,7 @@ def solve_grid(problem, n, variant="corrected"):
     if not np.all(np.isfinite(interior)):
         raise AssemblyError("spline system produced non-finite values")
     h, x = _grid(problem, n)
-    s = np.empty(n + 2)
-    s[0] = problem.alpha
-    s[1 : n + 1] = interior
+    s = np.concatenate([[problem.alpha], interior, [0.0]])  # s_{n+1} is set below
     sigma = _region_mask(problem, x)
     t = _operator_values(problem, x, sigma, s)
     s[n + 1] = s[n - 2] - 3.0 * s[n - 1] + 3.0 * s[n] + (h**3 / 12.0) * (
@@ -222,6 +212,8 @@ def spline_fit(problem, s):
     -------
     scipy.interpolate.PPoly
     """
+    from scipy.interpolate import PPoly
+
     n = s.size - 2
     h, x = _grid(problem, n)
     sigma = _region_mask(problem, x)
@@ -230,14 +222,11 @@ def spline_fit(problem, s):
     dvals = np.empty(n + 2)
     dvals[0] = problem.beta1
     dvals[n + 1] = problem.beta2
-    for i in range(1, n + 1):
-        dvals[i] = (s[i + 1] - s[i - 1] - (h**3 / 12.0) * (t[i + 1] + 2.0 * t[i] + t[i - 1])) / (2.0 * h)
+    dvals[1:-1] = (s[2:] - s[:-2] - (h**3 / 12.0) * (t[2:] + 2.0 * t[1:-1] + t[:-2])) / (2.0 * h)
 
     a_c = (t[:-1] + t[1:]) / 12.0
-    c_c = dvals[:-1]
-    d_c = s[:-1]
-    b_c = (s[1:] - s[:-1]) / h**2 - c_c / h - a_c * h
-    return PPoly(np.vstack([a_c, b_c, c_c, d_c]), x)
+    b_c = (s[1:] - s[:-1]) / h**2 - dvals[:-1] / h - a_c * h
+    return PPoly(np.vstack([a_c, b_c, dvals[:-1], s[:-1]]), x)
 
 
 _SQ3 = np.sqrt(3.0)
@@ -264,24 +253,14 @@ def analytic_constants():
     m = np.zeros((6, 6))
     rhs = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
 
+    # Rows 0-2 match the value, slope and curvature at 1/4, rows 3-5 at 3/4.
     xq = 0.25
-    val, der, dd = _middle_basis(xq)
-    m[0, 0] = xq**2 / 2.0
-    m[0, 1:4] = [-val[0], -val[1], -val[2]]
-    m[1, 0] = xq
-    m[1, 1:4] = [-der[0], -der[1], -der[2]]
-    m[2, 0] = 1.0
-    m[2, 1:4] = [-dd[0], -dd[1], -dd[2]]
-
+    m[:3, 0] = [xq**2 / 2.0, xq, 1.0]
+    m[:3, 1:4] = -np.array(_middle_basis(xq))
     xq = 0.75
-    val, der, dd = _middle_basis(xq)
-    m[3, 1:4] = [val[0], val[1], val[2]]
-    m[3, 4] = -xq * (xq - 2.0) / 2.0
+    m[3:, 1:4] = _middle_basis(xq)
+    m[3:, 4] = [-xq * (xq - 2.0) / 2.0, -(xq - 1.0), -1.0]
     m[3, 5] = -1.0
-    m[4, 1:4] = [der[0], der[1], der[2]]
-    m[4, 4] = -(xq - 1.0)
-    m[5, 1:4] = [dd[0], dd[1], dd[2]]
-    m[5, 4] = -1.0
     return np.linalg.solve(m, rhs)
 
 
@@ -340,8 +319,12 @@ def max_error(problem, n, variant="corrected", exact=analytic_solution):
     """
     s = solve_grid(problem, n, variant)
     _, x = _grid(problem, n)
-    reference = np.array([exact(xi) for xi in x], dtype=float)
-    return float(np.max(np.abs(s - reference)))
+    return float(np.max(np.abs(s - _at_nodes(exact, x))))
+
+
+def _trapezoid(y, h):
+    # scipy.integrate.trapezoid's formula, so the sum rounds as it does there.
+    return np.sum(h * (y[1:] + y[:-1]) / 2.0)
 
 
 def discrete_energy(problem, v):
@@ -367,8 +350,7 @@ def discrete_energy(problem, v):
     x = problem.a + h * np.arange(v.size)
     dv = np.gradient(v, h, edge_order=2)
     ddv = np.gradient(dv, h, edge_order=2)
-    f_vals = np.array([problem.f(xi) for xi in x], dtype=float)
-    return float(trapezoid(ddv**2, dx=h) - 2.0 * trapezoid(f_vals * dv, dx=h))
+    return float(_trapezoid(ddv**2, h) - 2.0 * _trapezoid(_at_nodes(problem.f, x) * dv, h))
 
 
 def complementarity_check(s, problem):
@@ -391,9 +373,8 @@ def complementarity_check(s, problem):
     s = np.asarray(s, dtype=float)
     n = s.size - 2
     h, x = _grid(problem, n)
-    worst = 0.0
-    for i in range(2, n):
-        d3 = (s[i + 2] - 2.0 * s[i + 1] + 2.0 * s[i - 1] - s[i - 2]) / (2.0 * h**3)
-        residual = min(-d3 - problem.f(x[i]), 0.0)
-        worst = max(worst, abs(residual * (s[i] - problem.psi(x[i]))))
-    return worst
+    i = np.arange(2, n)
+    d3 = (s[i + 2] - 2.0 * s[i + 1] + 2.0 * s[i - 1] - s[i - 2]) / (2.0 * h**3)
+    residual = np.minimum(-d3 - _at_nodes(problem.f, x[i]), 0.0)
+    # fmax skips a NaN node, as the builtin max over nodes did.
+    return float(np.fmax.reduce(np.abs(residual * (s[i] - _at_nodes(problem.psi, x[i]))), initial=0.0))

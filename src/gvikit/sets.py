@@ -188,12 +188,14 @@ def distance(cset, z):
     return float(np.linalg.norm(z - project(cset, z)))
 
 
-def project_intersection(base, a, b, z):
+def project_intersection(base, a, b, z, anchor=None):
     """Project onto ``base`` intersected with the hyperplane ``{x : a.x = b}``.
 
     Uses the single dual multiplier: x(theta) = project(base, z - theta*a)
     with phi(theta) = a.x(theta) - b monotone nonincreasing in theta.  The
-    root is located by bracket growth and bisection.
+    root is located by bracket growth and bisection.  With an anchor the
+    hyperplane is ``{x : a.(x - anchor) = b}`` and phi is evaluated in that
+    form, so a small offset b is not rounded away against a large a.anchor.
 
     Parameters
     ----------
@@ -205,6 +207,8 @@ def project_intersection(base, a, b, z):
         Hyperplane offset.
     z : array_like
         Point to project.
+    anchor : array_like, optional
+        Point the hyperplane offset is measured from; none means the origin.
 
     Returns
     -------
@@ -229,7 +233,7 @@ def project_intersection(base, a, b, z):
 
     def phi(theta):
         x = project(base, z - theta * a)
-        return float(a @ x) - b, x
+        return float(a @ (x if anchor is None else x - anchor)) - b, x
 
     f0, x0 = phi(0.0)
     if f0 == 0.0:

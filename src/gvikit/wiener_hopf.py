@@ -111,7 +111,7 @@ def _solve_double_projection(problem, config, u0, optimal):
         moved = s.gu + alpha * d
         if optimal and float(d @ d) > 0.0:
             try:
-                g_next = project_intersection(problem.K, d, c + float(s.gu @ d), moved)
+                g_next = project_intersection(problem.K, d, c, moved, anchor=s.gu)
             except InfeasibleSetError:
                 info["fallback"] = "basic"
                 g_next = project(problem.K, moved)

@@ -3,8 +3,9 @@
 Expected values are re-derived through routes that share no code with
 the package: brute-force grid search for small variational
 inequalities, symbolic algebra for norm identities, finite differences
-for gradients and third derivatives, and direct evaluation of printed
-closed forms.
+for gradients and third derivatives, direct evaluation of printed
+closed forms, and per-entry loops that the obstacle module's array code
+must reproduce bit for bit.
 """
 
 import numpy as np
@@ -108,3 +109,59 @@ def quadratic_energy_value():
     x = sp.symbols("x")
     v = x**2
     return float(sp.integrate(sp.diff(v, x, 2) ** 2, (x, 0, 1)))
+
+
+def _obstacle_nodes(problem, n):
+    h = (problem.b - problem.a) / (n + 1)
+    x = problem.a + h * np.arange(n + 2)
+    sigma = (x > problem.c + 1e-12) & (x <= problem.d + 1e-12)
+    p = np.array([problem.p(xi) for xi in x], dtype=float)
+    t = np.array([problem.f(xi) for xi in x], dtype=float) + np.where(sigma, problem.r, 0.0)
+    return h, sigma, p, t
+
+
+def loop_spline_system(problem, n, variant="corrected"):
+    """Band matrix and rhs of the obstacle spline system, scattered one entry at a time."""
+    h, sigma, p, t = _obstacle_nodes(problem, n)
+    right = [3.0, 10.0, 31.0] if variant == "verbatim" else [3.0, 16.0, 19.0, 6.0]
+    rows = [([3.0, -4.0, 1.0], [3.0, 4.0, 1.0], 0, -2.0 * h * problem.beta1)]
+    rows += [([-1.0, 3.0, -3.0, 1.0], [1.0, 5.0, 5.0, 1.0], i - 2, 0.0) for i in range(2, n)]
+    rows.append(([-3.0, 8.0, -5.0], right, n - 2, -2.0 * h * problem.beta2))
+    ab, rhs = np.zeros((4, n)), np.zeros(n)
+    for row, (coeffs, weights, j0, extra) in enumerate(rows):
+        rhs[row] = extra
+        for j, coeff in enumerate(coeffs, j0):
+            if 1 <= j <= n:
+                ab[1 + row - (j - 1), j - 1] += coeff
+            else:
+                rhs[row] -= coeff * (problem.alpha if j == 0 else 0.0)
+        for k, w in enumerate(np.array(weights) * (h**3 / 12.0), j0):
+            rhs[row] += w * t[k]
+            if sigma[k] and 1 <= k <= n:
+                ab[1 + row - (k - 1), k - 1] -= w * p[k]
+            elif sigma[k]:
+                rhs[row] += w * p[k] * (problem.alpha if k == 0 else 0.0)
+    return ab, rhs
+
+
+def loop_knot_slopes(problem, s):
+    """Spline slopes at the knots from the consistency relation, node by node."""
+    n = s.size - 2
+    h, sigma, p, t = _obstacle_nodes(problem, n)
+    t = t + np.where(sigma, p * s, 0.0)
+    slopes = [problem.beta1]
+    for i in range(1, n + 1):
+        slopes.append((s[i + 1] - s[i - 1] - (h**3 / 12.0) * (t[i + 1] + 2.0 * t[i] + t[i - 1])) / (2.0 * h))
+    return np.array(slopes + [problem.beta2])
+
+
+def loop_complementarity(s, problem):
+    """Largest |min(-D3 s_i - f_i, 0) (s_i - psi_i)| over interior nodes, node by node."""
+    n = s.size - 2
+    h = (problem.b - problem.a) / (n + 1)
+    worst = 0.0
+    for i in range(2, n):
+        x = problem.a + h * i
+        d3 = (s[i + 2] - 2.0 * s[i + 1] + 2.0 * s[i - 1] - s[i - 2]) / (2.0 * h**3)
+        worst = max(worst, abs(min(-d3 - problem.f(x), 0.0) * (s[i] - problem.psi(x))))
+    return worst

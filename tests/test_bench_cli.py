@@ -291,11 +291,27 @@ def _fresh_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
-def test_import_gvikit_leaves_the_command_line_unloaded():
-    probe = "import sys, gvikit; print(sorted({'click', 'gvikit.bench_cli'} & set(sys.modules)))"
+def test_import_gvikit_leaves_scipy_and_the_command_line_unloaded():
+    probe = "import sys, gvikit; print(sorted({'click', 'scipy', 'gvikit.bench_cli'} & set(sys.modules)))"
     proc = _fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_solve_and_erf_sqrt_certificate_run_without_scipy():
+    probe = "; ".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "import gvikit",
+        "from gvikit.convexity_lab import builtin_functions, check_exp_convex",
+        "problem = gvikit.build_problem(gvikit.ProblemSpec('example4', n=10))",
+        "report = gvikit.ALGORITHMS['projection'](problem, gvikit.SolveConfig(rho=0.5))",
+        "cert = check_exp_convex(builtin_functions()['erf-sqrt'], concave=True)",
+        "print(report.converged, cert.verdict)",
+    ])
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "pass"]
 
 
 def test_module_entry_point_writes_nothing_to_stderr():

@@ -256,6 +256,16 @@ def test_nan_value_tests_nothing():
     assert all(np.isfinite(value) for value in report.details.values())
 
 
+def test_one_huge_value_does_not_set_the_tolerance_of_every_triple():
+    # e^F nears 1e300 at the ends of [-6, 6]; violations between smaller
+    # values are judged against their own triple's scale, not that one.
+    fut = FunctionUnderTest(
+        F=lambda y: float(y[0] ** 4 - 10.0 * y[0] ** 2),
+        domain_sampler=lambda rng: rng.uniform(-6.0, 6.0, 1),
+    )
+    assert check_exp_convex(fut, samples=200).verdict == "fail"
+
+
 @pytest.mark.parametrize("check", [check_exp_convex, check_hierarchy])
 def test_all_overflow_raises(check):
     fut = FunctionUnderTest(F=lambda y: 1000.0, domain_sampler=lambda rng: rng.uniform(-1, 1, 1))

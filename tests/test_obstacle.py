@@ -1,9 +1,17 @@
 """Spline discretization of the third-order obstacle benchmark."""
 
+import math
+
 import numpy as np
 import pytest
 
-from oracles import fd_third_derivative, quadratic_energy_value
+from oracles import (
+    fd_third_derivative,
+    loop_complementarity,
+    loop_knot_slopes,
+    loop_spline_system,
+    quadratic_energy_value,
+)
 
 from gvikit.obstacle_spline import (
     ObstacleProblem,
@@ -25,6 +33,13 @@ def homogeneous_problem():
     return ObstacleProblem(
         a=0.0, b=1.0, f=lambda x: 0.0, p=lambda x: 0.0, r=0.0,
         alpha=0.0, beta1=0.0, beta2=0.0, psi=lambda x: -1.0,
+    )
+
+
+def general_problem():
+    return ObstacleProblem(
+        a=0.0, b=2.0, f=math.sin, p=lambda x: 1.0 + x, r=0.3,
+        alpha=0.7, beta1=-0.2, beta2=0.4, psi=lambda x: 0.5 * x,
     )
 
 
@@ -95,6 +110,20 @@ def test_contact_rows_fold_coefficient_into_matrix():
     # p = 1 terms appear as -(h^3/12)(1, 5, 5, 1) on the matrix side.
     np.testing.assert_allclose(bench[7, 5:9] - hom[7, 5:9],
                                -w0 * np.array([1.0, 5.0, 5.0, 1.0]), atol=1e-18)
+
+
+@pytest.mark.parametrize("variant", ["corrected", "verbatim"])
+@pytest.mark.parametrize("make_problem", [benchmark_problem, general_problem])
+def test_array_code_matches_per_entry_loops(make_problem, variant):
+    prob = make_problem()
+    for n in (7, 31):
+        system = assemble(prob, n, variant)
+        matrix, rhs = loop_spline_system(prob, n, variant)
+        assert system.matrix.tobytes() == matrix.tobytes()
+        assert system.rhs.tobytes() == rhs.tobytes()
+        s = solve_grid(prob, n, variant)
+        assert spline_fit(prob, s).c[2].tobytes() == loop_knot_slopes(prob, s)[:-1].tobytes()
+        assert complementarity_check(s, prob) == loop_complementarity(s, prob)
 
 
 def test_solution_grid_shape_and_boundary_value():

@@ -101,6 +101,14 @@ def test_intersection_projection_decoupled_coordinates():
     np.testing.assert_allclose(out, [0.25, 0.5], atol=1e-10)
 
 
+def test_intersection_projection_measures_the_offset_from_the_anchor():
+    box = Box(np.zeros(3), np.full(3, 4.0))
+    a, z, anchor = np.array([1.0, 2.0, 0.0]), np.array([3.0, 1.0, 2.0]), np.ones(3)
+    out = project_intersection(box, a, 0.5, z, anchor=anchor)
+    assert float(a @ (out - anchor)) == pytest.approx(0.5, abs=1e-12)
+    np.testing.assert_allclose(out, project_intersection(box, a, 3.5, z), atol=1e-12)
+
+
 def test_intersection_projection_rejects_unreachable_hyperplane():
     box = Box(np.zeros(2), np.ones(2))
     with pytest.raises(InfeasibleSetError):

@@ -13,6 +13,7 @@ from gvikit import (
     solve_whe,
 )
 from gvikit.errors import LineSearchError
+from gvikit.registry import ProblemSpec, build_problem
 from gvikit.sets import Box, WholeSpace
 
 DEFAULTS = SolveConfig(tol=1e-7, max_iters=1000, sigma=0.5, gamma=0.8)
@@ -153,6 +154,15 @@ def test_dp_optimal_steps_stay_on_cutting_hyperplane(example3_10, example4_10):
                 continue
             gap = abs(float(rec.info["step_g"] @ rec.info["d"]) - rec.info["c"])
             assert gap <= 1e-8
+
+
+def test_dp_optimal_cut_keeps_its_small_offset_at_large_n():
+    # Near the solution the cut offset c is about 1e-14 while g(u).d is
+    # about 300: added together, c rounds away and every step is zero.
+    problem = build_problem(ProblemSpec("example4", n=1000))
+    report = solve_double_projection_optimal(problem, SolveConfig())
+    assert report.converged
+    assert all(np.any(rec.info["step_g"]) for rec in report.trace if rec.info)
 
 
 def test_dp_converged_outputs_match_known_solutions(example3_10, example4_10):
