@@ -4,9 +4,12 @@ Expected values are re-derived through routes that share no code with
 the package: brute-force grid search for small variational
 inequalities, symbolic algebra for norm identities, finite differences
 for gradients and third derivatives, direct evaluation of printed
-closed forms, and per-entry loops that the obstacle module's array code
-must reproduce bit for bit.
+closed forms, per-entry loops that the obstacle module's array code
+must reproduce bit for bit, and enumeration of every active set for the
+projection onto a box or simplex cut by a hyperplane.
 """
+
+import itertools
 
 import numpy as np
 import sympy as sp
@@ -165,3 +168,61 @@ def loop_complementarity(s, problem):
         d3 = (s[i + 2] - 2.0 * s[i + 1] + 2.0 * s[i - 1] - s[i - 2]) / (2.0 * h**3)
         worst = max(worst, abs(min(-d3 - problem.f(x), 0.0) * (s[i] - problem.psi(x))))
     return worst
+
+
+def kkt_cut_bruteforce(base, a, b, z, anchor=None):
+    """Projection of z onto base ∩ {x : a.(x - anchor) = b} by active-set enumeration.
+
+    ``base`` is read only through its fields: ``lo``/``hi`` for a box,
+    ``total`` for a simplex, neither for the nonnegative orthant.  A box
+    (n <= 5) tries all 3^n lower/free/upper patterns, skipping infinite
+    bounds; a simplex tries all 2^n - 1 supports.  Each pattern fixes some
+    coordinates and solves the KKT system of the least-squares problem on
+    the rest, with the hyperplane (and the simplex total) as equality
+    constraints, by ``lstsq``.  The nearest candidate that satisfies the
+    constraints and the bounds is the projection, because the projection
+    lies in the relative interior of one face and is that face's
+    candidate.  Returns None when no pattern is feasible.
+    """
+    a = np.asarray(a, dtype=float)
+    z = np.asarray(z, dtype=float)
+    n = z.size
+    ref = np.zeros(n) if anchor is None else np.asarray(anchor, dtype=float)
+    target = b + float(a @ ref)
+    tol = 1e-11 * (1.0 + np.abs(a) @ (np.abs(z) + np.abs(ref)) + abs(b))
+    simplex = hasattr(base, "total")
+    if simplex:
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+        patterns = [np.where(np.array(on), 1, 0) for on in itertools.product((False, True), repeat=n) if any(on)]
+    else:
+        lo = np.asarray(getattr(base, "lo", np.zeros(n)), dtype=float) * np.ones(n)
+        hi = np.asarray(getattr(base, "hi", np.full(n, np.inf)), dtype=float) * np.ones(n)
+        patterns = [np.array(p) for p in itertools.product((0, 1, 2), repeat=n)]
+    best = None
+    for pattern in patterns:
+        # 0: at lo, 1: free, 2: at hi
+        if np.any(np.isinf(lo) & (pattern == 0)) or np.any(np.isinf(hi) & (pattern == 2)):
+            continue
+        free = pattern == 1
+        x = np.where(pattern == 0, lo, np.where(pattern == 2, hi, 0.0))
+        rows = [a[free]]
+        rhs = [target - sum(a[i] * x[i] for i in range(n) if not free[i])]
+        if simplex:
+            rows.append(np.ones(free.sum()))
+            rhs.append(base.total)
+        k, m = free.sum(), len(rows)
+        kkt = np.zeros((k + m, k + m))
+        kkt[:k, :k] = np.eye(k)
+        for j, row in enumerate(rows):
+            kkt[:k, k + j] = row
+            kkt[k + j, :k] = row
+        sol = np.linalg.lstsq(kkt, np.concatenate((z[free], rhs)), rcond=None)[0]
+        x[free] = sol[:k]
+        if abs(float(a @ x) - target) > tol or (simplex and abs(x.sum() - base.total) > tol):
+            continue
+        if np.any(x < lo - tol) or np.any(x > hi + tol):
+            continue
+        dist = float(np.sum((x - z) ** 2))
+        if best is None or dist < best[0]:
+            best = (dist, x)
+    return None if best is None else best[1]

@@ -1,0 +1,232 @@
+"""The projection onto a base set cut by a hyperplane: exactness and infeasibility."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from gvikit.errors import InfeasibleSetError
+from gvikit.sets import Box, NonnegOrthant, Simplex, project_intersection
+from oracles import kkt_cut_bruteforce
+
+
+def _range(base, a, ref):
+    # min and max of a.(x - ref) over the base, written out per base.
+    if isinstance(base, Simplex):
+        return base.total * a.min() - a @ ref, base.total * a.max() - a @ ref
+    lo, hi = (base.lo, base.hi) if isinstance(base, Box) else (np.zeros(a.size), np.full(a.size, np.inf))
+    low = high = 0.0
+    for ai, l, h, r in zip(a, lo, hi, ref):
+        if ai != 0:
+            low += min(ai * (l - r), ai * (h - r))
+            high += max(ai * (l - r), ai * (h - r))
+    return low, high
+
+
+def _member(base, rng, n):
+    # A random point of the base.
+    if isinstance(base, Simplex):
+        return base.total * rng.dirichlet(np.ones(n))
+    if isinstance(base, NonnegOrthant):
+        return np.abs(rng.standard_normal(n)) * 2.0
+    lo = np.where(np.isfinite(base.lo), base.lo, -5.0)
+    hi = np.where(np.isfinite(base.hi), base.hi, 5.0)
+    return rng.uniform(np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (Simplex(1.0), [1.22], 1.23, [0.14]),
+        (Simplex(1.0), [-0.38, 0.46, 0.82], 0.83, [-0.1, 0.68, -0.14]),
+    ],
+)
+def test_simplex_cut_that_misses_the_base_raises(args):
+    # max of a.x over the simplex is total * max(a), below b in both.
+    with pytest.raises(InfeasibleSetError):
+        project_intersection(*args)
+
+
+def test_simplex_cut_just_beyond_the_top_face_always_raises():
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n = int(rng.integers(1, 6))
+        total = float(rng.uniform(0.5, 3.0))
+        a, z = rng.standard_normal(n), rng.standard_normal(n) * 3.0
+        with pytest.raises(InfeasibleSetError):
+            project_intersection(Simplex(total), a, total * a.max() + 1e-3, z)
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for k in range(240):
+        n = int(rng.integers(1, 6))
+        a = rng.standard_normal(n)
+        a[rng.random(n) < 0.25] = 0.0  # zero entries in the normal
+        if not np.any(a):
+            a[0] = 1.0
+        kind = k % 4
+        if kind == 0:
+            lo = -np.abs(rng.standard_normal(n))
+            base = Box(lo, lo + rng.uniform(0.0, 2.0, n))
+        elif kind == 1:  # some bounds infinite
+            lo = np.where(rng.random(n) < 0.4, -np.inf, -np.abs(rng.standard_normal(n)))
+            hi = np.where(rng.random(n) < 0.4, np.inf, np.abs(rng.standard_normal(n)))
+            base = Box(lo, hi)
+        elif kind == 2:  # mixed-sign normal over an unbounded base
+            base = NonnegOrthant()
+        else:
+            base = Simplex(float(rng.uniform(0.5, 3.0)))
+        z = rng.standard_normal(n) * 2.0
+        anchor = rng.standard_normal(n) if k % 3 == 0 else None
+        ref = np.zeros(n) if anchor is None else anchor
+        v = _member(base, rng, n)
+        high = _range(base, a, ref)[1]
+        at_face = k % 5 == 0 and np.isfinite(high)
+        b = high if at_face else float(a @ (v - ref))
+        cases.append((base, a, b, z, anchor))
+    return cases
+
+
+def test_cut_projection_matches_the_active_set_oracle():
+    for base, a, b, z, anchor in _oracle_cases():
+        expected = kkt_cut_bruteforce(base, a, b, z, anchor)
+        assert expected is not None
+        out = project_intersection(base, a, b, z, anchor=anchor)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10, err_msg=f"{base} a={a} b={b} z={z}")
+
+
+# Entries on a grid of 1e-3 keep the ratios inside one normal bounded, so
+# the magnitudes below set the scale of the instance, not its conditioning.
+_unit = st.integers(-1000, 1000).map(lambda k: k / 1000.0)
+_magnitude = st.floats(-6.0, 8.0).map(lambda e: 10.0**e)
+PROPERTY_SETTINGS = settings(
+    max_examples=400, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+@st.composite
+def cuts(draw):
+    """A base, a normal, a point z, an optional anchor and a point v of the base."""
+    n = draw(st.integers(1, 6))
+    vector = st.lists(_unit, min_size=n, max_size=n).map(np.array)
+    kind = draw(st.sampled_from(["box", "infinite-box", "orthant", "simplex"]))
+    size, a_size = draw(_magnitude), draw(_magnitude)
+    if kind == "simplex":
+        base = Simplex(size * draw(st.floats(0.1, 10.0)))
+        weights = np.abs(draw(vector))
+        if not np.any(weights):
+            weights[0] = 1.0
+        v = base.total * weights / weights.sum()
+        near = np.ones(n)
+    else:
+        if kind == "orthant":
+            base, lo, hi = NonnegOrthant(), np.zeros(n), np.full(n, np.inf)
+        else:
+            lo = size * draw(vector)
+            hi = lo + size * np.abs(draw(vector))
+            if kind == "infinite-box":
+                lo = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), -np.inf, lo)
+                hi = np.where(draw(st.lists(st.booleans(), min_size=n, max_size=n)), np.inf, hi)
+            base = Box(lo, hi)
+        t = np.abs(draw(vector))
+        finite_lo = np.where(np.isfinite(lo), lo, np.where(np.isfinite(hi), hi, 0.0) - size)
+        finite_hi = np.where(np.isfinite(hi), hi, finite_lo + size)
+        v = finite_lo + t * (finite_hi - finite_lo)
+        near = np.eye(n)[draw(st.integers(0, n - 1))]
+    # Nearly parallel normals: ones for a simplex (where a.x is then almost
+    # constant), a coordinate axis for a box.
+    if draw(st.booleans()):
+        a = near + 10.0 ** draw(st.floats(-12.0, -3.0)) * draw(vector)
+    else:
+        a = draw(vector)
+    if not np.any(a):
+        a[0] = 1.0
+    a = a_size * a
+    z = size * 3.0 * draw(vector)
+    anchor = size * draw(vector) if draw(st.booleans()) else None
+    return base, a, z, anchor, v
+
+
+def _scale(a, *points):
+    return float(np.abs(a) @ sum(np.abs(p) for p in points))
+
+
+def _exact(vector):
+    return [Fraction(float(t)) for t in vector]
+
+
+def _onto_level(base, a, ref, v, x):
+    """v moved within the base onto the level a.(w - ref) = a.(x - ref) that x lies on.
+
+    Exact, in rationals; a simplex point is first rescaled to x's own sum:
+    both differ from the total by rounding.  None if v has no room to move.
+    """
+    a, ref, v, x = _exact(a), _exact(ref), _exact(v), _exact(x)
+    n = len(v)
+    if isinstance(base, Simplex):
+        v = [t * sum(x) / sum(v) for t in v]
+        # Trade mass between two coordinates, which keeps the sum.
+        moves = [(i, j) for i in range(n) for j in range(n) if a[i] != a[j]]
+    else:
+        moves = [(i, None) for i in range(n) if a[i] != 0]
+    miss = sum(ai * (xi - vi) for ai, xi, vi in zip(a, x, v))
+    lo = [Fraction(0)] * n if not isinstance(base, Box) else [Fraction(t) if np.isfinite(t) else None for t in base.lo]
+    hi = [None] * n if not isinstance(base, Box) else [Fraction(t) if np.isfinite(t) else None for t in base.hi]
+    for i, j in moves:
+        step = miss / (a[i] - (0 if j is None else a[j]))
+        out = list(v)
+        out[i] += step
+        if j is not None:
+            out[j] -= step
+        if all((l is None or l <= t) and (h is None or t <= h) for t, l, h in zip(out, lo, hi)):
+            return out
+    return None
+
+
+@PROPERTY_SETTINGS
+@given(cuts())
+def test_cut_projection_is_feasible_and_solves_the_variational_inequality(cut):
+    base, a, z, anchor, v = cut
+    ref = np.zeros(z.size) if anchor is None else anchor
+    b = float(a @ (v - ref))
+    x = project_intersection(base, a, b, z, anchor=anchor)
+    if isinstance(base, Simplex):
+        assert np.all(x >= 0.0)
+        assert abs(x.sum() - base.total) <= 1e-9 * base.total
+    elif isinstance(base, Box):
+        assert np.all((base.lo <= x) & (x <= base.hi))
+    else:
+        assert np.all(x >= 0.0)
+    assert abs(float(a @ (x - ref)) - b) <= 1e-9 * (_scale(a, x, z, ref) + abs(b))
+    # <x - z, w - x> >= 0 for w, the feasible point v the strategy built,
+    # moved exactly onto the level of a.(x - ref) that x lies on.  Near-
+    # parallel normals make the cut set move far when b moves by one
+    # rounding, so the check is made on x's own level and in rationals.
+    xq, zq = _exact(x), _exact(z)
+    w = _onto_level(base, a, ref, v, x)
+    assume(w is not None)
+    size = np.linalg.norm(x) + np.linalg.norm(z) + np.linalg.norm(v)
+    inner = sum((xi - zi) * (wi - xi) for xi, zi, wi in zip(xq, zq, w))
+    assert inner >= -1e-9 * Fraction(float(size)) ** 2
+
+
+@PROPERTY_SETTINGS
+@given(cuts(), st.sampled_from(["below", "inside", "above"]), st.floats(1e-6, 10.0))
+def test_cut_projection_raises_exactly_when_the_range_excludes_b(cut, where, shift):
+    base, a, z, anchor, v = cut
+    ref = np.zeros(z.size) if anchor is None else anchor
+    low, high = _range(base, a, ref)
+    margin = 1e-9 * (_scale(a, v, ref) + abs(float(a @ (v - ref))))
+    step = shift * max(margin * 1e3, abs(float(a @ (v - ref))))
+    b = {"below": low - step, "inside": float(a @ (v - ref)), "above": high + step}[where]
+    if not np.isfinite(b) or low - margin <= b <= low + margin or high - margin <= b <= high + margin:
+        return  # at a face, within rounding: either answer is right
+    if low < b < high:
+        project_intersection(base, a, b, z, anchor=anchor)
+    else:
+        with pytest.raises(InfeasibleSetError):
+            project_intersection(base, a, b, z, anchor=anchor)

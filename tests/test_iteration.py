@@ -5,6 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gvikit.sets
+import gvikit.wiener_hopf
 from gvikit import (
     ALGORITHMS,
     Box,
@@ -13,6 +15,7 @@ from gvikit import (
     ProblemSpec,
     SolveConfig,
     WholeSpace,
+    Simplex,
     build_problem,
     project_intersection,
     residual,
@@ -104,3 +107,39 @@ def test_dynamical_inner_loop_does_not_repeat_the_stage_evaluation(alg):
     assert report.iterations > 0
     repeats = [k for k in range(1, len(points)) if np.array_equal(points[k], points[k - 1])]
     assert repeats == []
+
+
+@pytest.mark.parametrize(
+    ("pid", "n", "iterations"),
+    [("example2", None, 97), ("example3", 10, 46), ("example3", 100, 52),
+     ("example4", 10, 35), ("example4", 100, 42), ("example4", 1000, 52)],
+)
+def test_dp_optimal_iterations_and_base_projections_per_cut(pid, n, iterations, monkeypatch):
+    # The cut over a Box is solved on its kinks without calling project();
+    # over a Simplex each multiplier trial is one base projection.
+    cuts, base_projections, inside = [0], [0], [False]
+    project, cut = gvikit.sets.project, gvikit.wiener_hopf.project_intersection
+
+    def counted_project(cset, z):
+        base_projections[0] += inside[0]
+        return project(cset, z)
+
+    def counted_cut(*args, **kwargs):
+        cuts[0] += 1
+        inside[0] = True
+        try:
+            return cut(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(gvikit.sets, "project", counted_project)
+    monkeypatch.setattr(gvikit.wiener_hopf, "project_intersection", counted_cut)
+    problem = build_problem(ProblemSpec(pid) if n is None else ProblemSpec(pid, n=n))
+    report = solve_double_projection_optimal(problem, SolveConfig())
+    assert report.converged
+    assert report.iterations == iterations
+    assert cuts[0] > 0
+    if isinstance(problem.K, Simplex):
+        assert base_projections[0] <= 25 * cuts[0]
+    else:
+        assert base_projections[0] == 0
