@@ -2,14 +2,15 @@
 
 Every solver in the toolkit evaluates projections onto one of the set
 variants below.  All projections are exact, never iterative QP solves:
-closed forms for the plain sets, and for a base cut by a hyperplane a
-search on the one dual multiplier, over the sorted kinks for a box and by
-regula falsi for a simplex, after a closed-form feasibility test.
+closed forms for the plain sets, and for a base cut by a hyperplane one
+safeguarded Newton search on the single dual multiplier, after a
+closed-form feasibility test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -193,13 +194,13 @@ def project_intersection(base, a, b, z, anchor=None):
     with phi(theta) = a.x(theta) - b piecewise linear and nonincreasing in
     theta.  The range of a.x over the base is known in closed form, so a
     hyperplane that misses the base is rejected before any search, and one
-    that only touches it gives the projection onto the touching face.  For
-    a Box or NonnegOrthant base the kinks of phi are where a coordinate
-    meets a bound: a binary search over the sorted kinks finds the linear
-    piece that holds the root, and one linear equation gives it.  For a
-    Simplex base, Illinois regula falsi searches the multiplier between
-    theta = 0 and the theta beyond which x(theta) lies on the face where
-    a.x is extreme.
+    that only touches it gives the projection onto the touching face.
+    Every base then runs one safeguarded Newton search from theta = 0
+    (Cominetti, Mascarenhas & Silva 2014) along the linear pieces of phi,
+    of slope -phi' = the sum of a_i^2 over the free coordinates of a Box or
+    NonnegOrthant, or of (a_i - mean_S a)^2 over the support S in a
+    Simplex.  A step that leaves the sign bracket bisects it, or jumps to
+    the outermost kink while the bracket is still open.
     With an anchor the hyperplane is ``{x : a.(x - anchor) = b}`` and phi
     is evaluated in that form, so a small offset b is not rounded away
     against a large a.anchor.
@@ -220,13 +221,13 @@ def project_intersection(base, a, b, z, anchor=None):
     Returns
     -------
     ndarray
-        x(theta*).  Over a Box or NonnegOrthant, theta* solves phi = 0 on
-        its linear piece, and no ``project`` call is made.  Over a Simplex
-        the search stops when phi is exactly zero or no float lies strictly
-        inside the bracket, and returns the end with the smaller |phi|: the
-        sign change decides, not the size of phi, because a tiny |phi| does
-        not imply a tiny step when the normal is nearly orthogonal to the
-        active face.
+        x(theta*).  The search stops when phi is exactly zero, when a
+        Newton step stayed on its piece (then one more step sheds the
+        rounding carried from its start), or when no float lies strictly
+        inside the bracket (then the end with the smaller |phi|): never on
+        the size of phi, because a tiny |phi| does not imply a tiny step
+        when the normal is nearly orthogonal to the active face.  Over a
+        Box or NonnegOrthant no ``project`` call is made.
 
     Raises
     ------
@@ -275,40 +276,22 @@ def _cut_box(lo, hi, a, b, z, ref):
         return _on_face(face, b, float(np.sum(terms)), float(np.sum(np.abs(terms))))
 
     cuts = np.stack(((z - hi)[nz] / an, (z - lo)[nz] / an))
-    enter, leave = cuts.min(axis=0), cuts.max(axis=0)
-    kinks = np.concatenate((enter, leave))
-    # theta = 0 joins the kinks so that the root's piece has a finite end.
-    kinks = np.sort(np.append(kinks[np.isfinite(kinks)], 0.0))
+    kinks = np.concatenate((cuts.min(axis=0), cuts.max(axis=0)))
+    m, squares = an.size, an * an
+    finite = kinks[np.isfinite(kinks)]
+    far = (float(finite.min(initial=0.0)), float(finite.max(initial=0.0)))
 
     def phi(theta):
         x = np.clip(z - theta * a, lo, hi)
         return float(a @ (x - ref)) - b, x
 
-    # Adjacent kinks i < j with phi > 0 at i and phi < 0 at j; the ends of
-    # the list stand for -inf and +inf, where phi is high - b and low - b.
-    i, j = -1, kinks.size
-    f_left = f_right = 0.0
-    while j - i > 1:
-        m = (i + j) // 2
-        f, x = phi(kinks[m])
-        if f == 0.0:
-            return x
-        if f > 0:
-            i, f_left = m, f
-        else:
-            j, f_right = m, f
-    left = kinks[i] if i >= 0 else -np.inf
-    right = kinks[j] if j < kinks.size else np.inf
-    free = (enter <= left) & (leave >= right)
-    slope = float(an[free] @ an[free])
-    if slope == 0.0:  # b is within rounding of a face
-        return phi(left if i >= 0 else right)[1]
-    # phi is linear on [left, right] with this slope.  The step from the
-    # finite end carries the rounding of phi there, which can be far larger
-    # than at the root, so one more step is taken from where it lands.
-    theta = min(max(left + f_left / slope if i >= 0 else right + f_right / slope, left), right)
-    f, _ = phi(theta)
-    return phi(min(max(theta + f / slope, left), right))[1]
+    # The pattern is which kinks lie behind theta on the given side; a
+    # coordinate is free there if it has passed its first kink, not its last.
+    def piece(theta, x, right):
+        past = kinks <= theta if right else kinks < theta
+        return float(squares @ (past[:m] & ~past[m:])), past
+
+    return _newton_cut(phi, piece, far)
 
 
 def _cut_simplex(base, a, b, z, ref):
@@ -332,6 +315,13 @@ def _cut_simplex(base, a, b, z, ref):
         x = project(base, z - theta * w)
         return float(w @ (x - ref)) - offset, x
 
+    # On a piece with support S, x_i = z_i - theta*w_i - tau(theta) with the
+    # shift tau keeping the total, so x_i moves at mean_S(w) - w_i.
+    def piece(theta, x, right):
+        support = x > 0
+        d = w[support] - np.mean(w[support])
+        return float(d @ d), support
+
     # Once theta * (a_max - a_i) exceeds the gap z_max - z_i by the total,
     # coordinate i drops out of the support: beyond these ends x(theta)
     # lies on the face where a.x is largest (low theta) or smallest.
@@ -339,39 +329,44 @@ def _cut_simplex(base, a, b, z, ref):
         on = a == extreme
         return (np.max(z[on]) - z[~on] - total) / (extreme - a[~on])
 
-    # theta = 0 is the plain projection, often near the cut; it closes one
-    # side of the bracket and the face beyond the root closes the other.
-    f0, x0 = phi(0.0)
-    if f0 == 0.0:
-        return x0
-    end = float(np.max(support_end(a.min())) if f0 > 0 else np.min(support_end(a.max())))
-    f1, x1 = phi(end)
-    if f1 == 0.0 or (f1 > 0) == (f0 > 0):
-        return x1  # b is within rounding of that face
-    ends = [(0.0, f0, x0), (end, f1, x1)]
-    if f0 < 0:
-        ends.reverse()
-    (lo, f_lo, x_lo), (hi, f_hi, x_hi) = ends
-    # Illinois: halve the secant weight of an end that is kept twice running.
-    g_lo, g_hi, kept = f_lo, f_hi, 0
+    far = (float(np.min(support_end(a.max()))), float(np.max(support_end(a.min()))))
+    return _newton_cut(phi, piece, far)
+
+
+def _newton_cut(phi, piece, far):
+    # The root of phi, nonincreasing and piecewise linear, by Newton steps
+    # from theta = 0.  phi(theta) gives (phi, x(theta)); piece(theta, x,
+    # right) gives the slope -phi' and active pattern of the linear piece on
+    # that side of theta; phi has no kink outside far = (left, right).  Each
+    # trial lies strictly inside the sign bracket (lo, hi) and replaces one
+    # end, leaving fewer floats inside, so the search ends without a cap.
+    theta, lo, hi, ends, run = 0.0, -np.inf, np.inf, {}, None
     while True:
-        # The secant point, kept at least one float inside the bracket.
-        inner_lo, inner_hi = float(np.nextafter(lo, hi)), float(np.nextafter(hi, lo))
-        if inner_lo > inner_hi:
-            break
-        theta = min(max(hi - g_hi * (hi - lo) / (g_hi - g_lo), inner_lo), inner_hi)
         f, x = phi(theta)
         if f == 0.0:
             return x
-        if f > 0:
-            lo, f_lo, x_lo, g_lo = theta, f, x, f
-            g_hi *= 0.5 if kept > 0 else 1.0
-            kept = 1
-        else:
-            hi, f_hi, x_hi, g_hi = theta, f, x, f
-            g_lo *= 0.5 if kept < 0 else 1.0
-            kept = -1
-    return x_lo if f_lo <= -f_hi else x_hi
+        right = f > 0
+        lo, hi = (theta, hi) if right else (lo, theta)
+        ends[right] = (f, x)
+        if run is not None and np.array_equal(piece(theta, x, not run[2])[1], run[1]):
+            # The step stayed on its piece, so it missed the root only by
+            # the rounding of phi where it started; one more step sheds that.
+            return phi(min(max(theta + f / run[0], lo), hi))[1]
+        inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
+        if inner_lo > inner_hi:
+            break
+        slope, pattern = piece(theta, x, right)
+        run = (slope, pattern, right)
+        step = theta + f / slope if slope > 0 else np.nan
+        if not lo < step < hi:
+            # Off the bracket: bisect it once both ends are known, else jump
+            # to the far end on the root's side.
+            run = None
+            step = 0.5 * lo + 0.5 * hi if math.isfinite(lo) and math.isfinite(hi) else far[right]
+            if not lo < step < hi:
+                break  # phi is flat on the root's side: b is within rounding of a face
+        theta = min(max(step, inner_lo), inner_hi)
+    return min(ends.values(), key=lambda end: abs(end[0]))[1]
 
 
 def contains(cset, z, tol=1e-10):

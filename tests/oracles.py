@@ -5,8 +5,9 @@ the package: brute-force grid search for small variational
 inequalities, symbolic algebra for norm identities, finite differences
 for gradients and third derivatives, direct evaluation of printed
 closed forms, per-entry loops that the obstacle module's array code
-must reproduce bit for bit, and enumeration of every active set for the
-projection onto a box or simplex cut by a hyperplane.
+must reproduce bit for bit, enumeration of every active set for the
+projection onto a box or simplex cut by a hyperplane, and, at sizes no
+enumeration reaches, a check of that projection's optimality conditions.
 """
 
 import itertools
@@ -226,3 +227,48 @@ def kkt_cut_bruteforce(base, a, b, z, anchor=None):
         if best is None or dist < best[0]:
             best = (dist, x)
     return None if best is None else best[1]
+
+
+def kkt_cut_residual(base, a, b, z, anchor, x):
+    """How far x is from the projection of z onto base ∩ {w : a.(w - anchor) = b}, for any n.
+
+    ``base`` is read only through its fields, as in ``kkt_cut_bruteforce``.
+    The multiplier is recovered from x alone: over a box, by least squares
+    on the free coordinates, where x_i = z_i - theta*a_i; over a simplex,
+    by fitting x_i = z_i - theta*a_i - tau on the support, where tau keeps
+    the total.  Then x must equal min(max(z - theta*a, lo), hi) or
+    max(z - theta*a - tau, 0) coordinate by coordinate, lie in the base and
+    satisfy the cut.  Returns the largest of these misses, each relative to
+    the magnitudes it was computed from, so a correct x gives a few units of
+    rounding.  Raises ValueError if the free coordinates or the support do
+    not determine the multiplier.
+    """
+    a, z, x = (np.asarray(v, dtype=float) for v in (a, z, x))
+    n = z.size
+    ref = np.zeros(n) if anchor is None else np.asarray(anchor, dtype=float)
+    r = z - x
+    if hasattr(base, "total"):
+        support = x > 0
+        a_s, r_s = a[support], r[support]
+        spread = a_s - a_s.mean()
+        if not np.any(spread != 0):
+            raise ValueError("the support does not determine the multiplier")
+        theta = float(spread @ (r_s - r_s.mean())) / float(spread @ spread)
+        tau = float(np.mean(r_s - theta * a_s))
+        expected = np.maximum(z - theta * a - tau, 0.0)
+        scale = np.abs(z) + np.abs(theta * a) + abs(tau)
+        total_miss = abs(float(np.sum(x)) - base.total) / (float(np.sum(np.abs(x))) + base.total)
+        outside = max(float(np.max(-x)) / float(np.max(x)), total_miss)
+    else:
+        lo = np.asarray(getattr(base, "lo", np.zeros(n)), dtype=float) * np.ones(n)
+        hi = np.asarray(getattr(base, "hi", np.full(n, np.inf)), dtype=float) * np.ones(n)
+        free = (lo < x) & (x < hi) & (a != 0)
+        if not np.any(free):
+            raise ValueError("no free coordinate determines the multiplier")
+        theta = float(a[free] @ r[free]) / float(a[free] @ a[free])
+        expected = np.minimum(np.maximum(z - theta * a, lo), hi)
+        scale = np.abs(z) + np.abs(theta * a)
+        outside = 0.0 if np.all((lo <= x) & (x <= hi)) else np.inf
+    coordinate_miss = float(np.max(np.abs(x - expected) / np.maximum(scale, np.finfo(float).tiny)))
+    cut_miss = abs(float(a @ (x - ref)) - b) / (float(np.abs(a) @ (np.abs(x) + np.abs(ref))) + abs(b))
+    return max(coordinate_miss, outside, cut_miss)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import gvikit.sets
 from gvikit.errors import InfeasibleSetError
 from gvikit.sets import Box, NonnegOrthant, Simplex, project_intersection
-from oracles import kkt_cut_bruteforce
+from oracles import kkt_cut_bruteforce, kkt_cut_residual
 
 
 def _range(base, a, ref):
@@ -97,6 +98,63 @@ def test_cut_projection_matches_the_active_set_oracle():
         assert expected is not None
         out = project_intersection(base, a, b, z, anchor=anchor)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-10, err_msg=f"{base} a={a} b={b} z={z}")
+
+
+def _large_cut(kind, n, anchored, rng):
+    # A cut through a random point v of the base, at a size the active-set
+    # oracle cannot enumerate.
+    if kind == "simplex":
+        base, a = Simplex(1.0), rng.uniform(0.5, 1.5, n)
+        v, z = rng.dirichlet(np.ones(n)), rng.uniform(0.0, 2.0 / n, n)
+    else:
+        a, z = rng.uniform(-1.0, 1.0, n), rng.standard_normal(n)
+        if kind == "orthant":
+            base, v = NonnegOrthant(), np.abs(rng.standard_normal(n))
+        else:
+            lo = rng.uniform(-1.0, 0.0, n)
+            hi = lo + rng.uniform(0.0, 2.0, n)
+            v = rng.uniform(lo, hi)
+            if kind == "infinite-box":
+                lo = np.where(rng.random(n) < 0.3, -np.inf, lo)
+                hi = np.where(rng.random(n) < 0.3, np.inf, hi)
+            base = Box(lo, hi)
+    anchor = rng.standard_normal(n) if anchored else None
+    ref = np.zeros(n) if anchor is None else anchor
+    return base, a, float(a @ (v - ref)), z, anchor
+
+
+@pytest.mark.parametrize("n", [1000, 100000])
+@pytest.mark.parametrize("kind", ["box", "infinite-box", "orthant", "simplex"])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_large_cut_projection_meets_the_kkt_conditions(n, kind, anchored):
+    base, a, b, z, anchor = _large_cut(kind, n, anchored, np.random.default_rng(n + len(kind) + anchored))
+    x = project_intersection(base, a, b, z, anchor=anchor)
+    assert kkt_cut_residual(base, a, b, z, anchor, x) <= 1e-12
+    # The check sees a single free coordinate moved by 1e-8.
+    lo, hi = (base.lo, base.hi) if isinstance(base, Box) else (0.0, np.inf)
+    j = np.flatnonzero((lo + 1e-7 < x) & (x < hi - 1e-7) & (a != 0))[0]
+    x[j] += 1e-8
+    assert kkt_cut_residual(base, a, b, z, anchor, x) > 1e-12
+
+
+def test_simplex_cut_makes_few_base_projections_on_the_hyperplane_workload(monkeypatch):
+    # The cut set of the benchmark's hyperplane workload: the unit simplex
+    # cut by a normal a ~ U[0.5, 1.5] at b = mean(a), projecting z ~ U[0, 2/n].
+    calls = [0]
+    project = gvikit.sets.project
+
+    def counted_project(cset, z):
+        calls[0] += 1
+        return project(cset, z)
+
+    monkeypatch.setattr(gvikit.sets, "project", counted_project)
+    rng, n, counts = np.random.default_rng(4000), 4000, []
+    for _ in range(200):
+        a, z = rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 2.0 / n, n)
+        calls[0] = 0
+        project_intersection(Simplex(1.0), a, float(np.mean(a)), z)
+        counts.append(calls[0])
+    assert max(counts) <= 6
 
 
 # Entries on a grid of 1e-3 keep the ratios inside one normal bounded, so

@@ -140,6 +140,6 @@ def test_dp_optimal_iterations_and_base_projections_per_cut(pid, n, iterations, 
     assert report.iterations == iterations
     assert cuts[0] > 0
     if isinstance(problem.K, Simplex):
-        assert base_projections[0] <= 25 * cuts[0]
+        assert base_projections[0] <= 4 * cuts[0]
     else:
         assert base_projections[0] == 0
