@@ -113,16 +113,25 @@ def _example2():
 
 
 def _example3(n):
-    M = (
-        np.diag(4.0 * np.ones(n))
-        + np.diag(-np.ones(n - 1), 1)
-        + np.diag(-np.ones(n - 1), -1)
-    )
-    # Solution of Mx = e lies strictly inside [0,1]^n, so it solves the VI.
-    sol = np.linalg.solve(M, np.ones(n))
+    # T(x) = M x - 1 with M = tridiag(-1, 4, -1), applied as a three-term
+    # stencil in O(n).  M x = 1 is the recurrence -x_{i-1} + 4 x_i - x_{i+1}
+    # = 1 with x_0 = x_{n+1} = 0, whose solution is
+    #   x_i = (1 - (r^i + r^(n+1-i)) / (1 + r^(n+1))) / 2,  r = 2 - sqrt(3),
+    # for i = 1..n (the powers of r underflow harmlessly to 0 at large n).
+    # It lies strictly inside [0,1]^n, so it solves the VI.
+    def T(x):
+        x = np.asarray(x, dtype=float)
+        y = 4.0 * x
+        y[1:] -= x[:-1]
+        y[:-1] -= x[1:]
+        return y - 1.0
+
+    r = 2.0 - np.sqrt(3.0)
+    i = np.arange(1, n + 1)
+    sol = 0.5 * (1.0 - (r**i + r ** (n + 1 - i)) / (1.0 + r ** (n + 1)))
     return GviProblem(
         dim=n,
-        T=lambda x: M @ x - 1.0,
+        T=T,
         K=Box(np.zeros(n), np.ones(n)),
         known_solution=sol,
     )

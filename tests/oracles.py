@@ -5,9 +5,11 @@ the package: brute-force grid search for small variational
 inequalities, symbolic algebra for norm identities, finite differences
 for gradients and third derivatives, direct evaluation of printed
 closed forms, per-entry loops that the obstacle module's array code
-must reproduce bit for bit, enumeration of every active set for the
-projection onto a box or simplex cut by a hyperplane, and, at sizes no
-enumeration reaches, a check of that projection's optimality conditions.
+must reproduce bit for bit, the dense matrix and dense solve that
+example3's stencil and closed-form solution replace, enumeration of
+every active set for the projection onto a box or simplex cut by a
+hyperplane, and, at sizes no enumeration reaches, a check of that
+projection's optimality conditions.
 """
 
 import itertools
@@ -169,6 +171,12 @@ def loop_complementarity(s, problem):
         d3 = (s[i + 2] - 2.0 * s[i + 1] + 2.0 * s[i - 1] - s[i - 2]) / (2.0 * h**3)
         worst = max(worst, abs(min(-d3 - problem.f(x), 0.0) * (s[i] - problem.psi(x))))
     return worst
+
+
+def example3_dense(n):
+    """example3's matrix M = tridiag(-1, 4, -1), stored densely, and the dense solve of M x = 1."""
+    M = np.diag(4.0 * np.ones(n)) + np.diag(-np.ones(n - 1), 1) + np.diag(-np.ones(n - 1), -1)
+    return M, np.linalg.solve(M, np.ones(n))
 
 
 def kkt_cut_bruteforce(base, a, b, z, anchor=None):

@@ -4,10 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from oracles import example3_dense
 
 import gvikit
 from gvikit.bench_cli import _CERT_CHECKS, cli, main, parse_config_file
@@ -66,6 +68,33 @@ def test_build_example3_matrix_and_shift():
     np.testing.assert_allclose(q, -np.ones(3))
     np.testing.assert_allclose(prob.known_solution,
                                np.linalg.solve(np.column_stack(columns), np.ones(3)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 2000])
+def test_example3_stencil_and_closed_form_match_the_dense_matrix(n):
+    prob = build_problem(ProblemSpec("example3", n=n))
+    M, solution = example3_dense(n)
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), rng.uniform(0.0, 1.0, n), 1e6 * rng.standard_normal(n)):
+        kept = x.copy()
+        y = prob.T(x)
+        np.testing.assert_array_equal(x, kept)
+        np.testing.assert_array_equal(prob.T(list(x)), y)
+        # Each entry sums at most three products, all below 6 |x|_inf.
+        bound = 4 * np.spacing(6.0 * np.max(np.abs(x)))
+        assert np.max(np.abs(y - (M @ x - 1.0))) <= bound
+    assert np.max(np.abs(prob.known_solution - solution)) <= 1e-14
+
+
+def test_example3_build_stores_no_matrix():
+    tracemalloc.start()
+    try:
+        build_problem(ProblemSpec("example3", n=2000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # A dense 2000 x 2000 matrix alone would take 32 MB.
+    assert peak < 1_000_000
 
 
 def test_build_example4_diagonal_operator():

@@ -143,3 +143,16 @@ def test_dp_optimal_iterations_and_base_projections_per_cut(pid, n, iterations, 
         assert base_projections[0] <= 4 * cuts[0]
     else:
         assert base_projections[0] == 0
+
+
+@pytest.mark.parametrize(
+    ("alg", "iterations", "T_evals"),
+    [("projection", 51, 52), ("extragradient", 107, 215), ("two-step", 35, 71), ("whe", 26, 53),
+     ("dp-basic", 56, 618), ("three-step", 17, 52), ("dynamical-explicit", 111, 112)],
+)
+def test_large_example3_iterations_and_operator_evaluations(alg, iterations, T_evals):
+    # The large-box benchmark runs: example3 at n = 2000 with rho = 0.15.
+    problem, calls = _counted(build_problem(ProblemSpec("example3", n=2000)))
+    report = ALGORITHMS[alg](problem, SolveConfig(rho=0.15))
+    assert report.converged
+    assert (report.iterations, calls[0]) == (iterations, T_evals)
