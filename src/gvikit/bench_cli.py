@@ -55,16 +55,6 @@ def _parse_int_list(text):
     return [int(tok) for tok in str(text).split(",") if tok.strip()]
 
 
-def _solve_config_from(options):
-    kwargs = {}
-    for key in ("rho", "tol", "sigma", "gamma"):
-        if options.get(key) is not None:
-            kwargs[key] = float(options[key])
-    if options.get("max_iters") is not None:
-        kwargs["max_iters"] = int(options["max_iters"])
-    return SolveConfig(**kwargs)
-
-
 def _write(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
@@ -118,7 +108,8 @@ def bench(config_path, problem, n_text, alg_text, custom_path, rho, tol, max_ite
         sizes = _parse_int_list(n_text) if n_text is not None else [None]
         specs = [ProblemSpec(problem, n=size, path=custom_path) for size in sizes]
         algorithms = [tok.strip() for tok in alg_text.split(",") if tok.strip()]
-        results = run_suite(specs, algorithms, _solve_config_from(options))
+        config = SolveConfig(**{key: value for key, value in options.items() if value is not None})
+        results = run_suite(specs, algorithms, config)
         _write(emit_table(results, format=fmt), out_path)
     except (GviError, ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)

@@ -175,9 +175,6 @@ class SolveConfig:
     alpha_schedule : float or callable, optional
         Per-iteration blending weight alpha_n (constant or n -> alpha_n);
         None selects the solver's default.
-    step_denominator_squared : bool
-        Double-projection step length uses ||d||^2 (True, default) or
-        ||d|| (False) in the denominator.
     """
 
     rho: Optional[float] = None
@@ -194,7 +191,6 @@ class SolveConfig:
     inner_tol: float = 1e-10
     inner_max_iters: int = 10000
     alpha_schedule: object = None
-    step_denominator_squared: bool = True
 
     def __post_init__(self):
         if self.rho is not None and not self.rho > 0:
@@ -232,7 +228,6 @@ class SolveConfig:
 class TraceRecord:
     """One per-iteration trace entry."""
 
-    iterate_norm: float
     residual_norm: float
     lyapunov: Optional[float] = None
     info: Optional[dict] = None
@@ -437,37 +432,26 @@ def estimate_lipschitz(problem, trials=20, seed=0, eps=1e-4):
     return worst
 
 
-def default_rho(problem, seed=0):
+def default_rho(problem):
     """Default step scalar 0.5 / (estimated Lipschitz constant of T)."""
-    lip = estimate_lipschitz(problem, seed=seed)
+    lip = estimate_lipschitz(problem)
     if lip <= 1e-12:
         return 1.0
     return 0.5 / lip
 
 
-def resolve_rho(problem, config):
-    """Config rho if given, else the problem's default."""
-    if config.rho is not None:
-        return config.rho
-    return default_rho(problem)
-
-
-def default_start(problem):
-    """Feasible default start: the projection of the origin onto K."""
-    return project(problem.K, np.zeros(problem.dim))
-
-
 def start_point(problem, u0):
-    """A private copy of u0, or the default start when u0 is None."""
+    """A private copy of u0, or the projection of the origin onto K when u0 is None."""
     if u0 is None:
-        return default_start(problem)
+        return project(problem.K, np.zeros(problem.dim))
     return np.atleast_1d(np.asarray(u0, dtype=float)).copy()
 
 
 def prepare_solve(problem, config, u0):
-    """The config (default when None), the resolved rho and the start point."""
+    """The config (default when None), its rho (default_rho when None) and the start point."""
     config = SolveConfig() if config is None else config
-    return config, resolve_rho(problem, config), start_point(problem, u0)
+    rho = config.rho if config.rho is not None else default_rho(problem)
+    return config, rho, start_point(problem, u0)
 
 
 def check_divergence(u):
@@ -534,8 +518,7 @@ def iterate(u, norm, step, config, details, info=None, lyapunov=None):
     """
 
     def record(u, norm, info):
-        lyap = None if lyapunov is None else lyapunov(u)
-        return TraceRecord(float(np.linalg.norm(u)), norm, lyapunov=lyap, info=info)
+        return TraceRecord(norm, None if lyapunov is None else lyapunov(u), info)
 
     trace = [record(u, norm, info)]
     k = 0

@@ -228,22 +228,24 @@ def solve_eq_inertial(problem, config=None, u0=None):
         inner_max_iters.
     """
     config, rho, u = _prepare_oracle_solve(problem, config, u0)
-    u_prev = u.copy()
+    gu_prev = None  # g(u_{n-1}), carried from the previous step
 
     def step(u, k):
-        nonlocal u_prev
+        nonlocal gu_prev
         alpha_n = config.alpha_at(k, default=0.0)
         if not 0.0 <= alpha_n < 1.0:
             raise ValueError("inertial weight must lie in [0, 1)")
         gu = g_value(problem, u)
-        center = gu + alpha_n * (gu - g_value(problem, u_prev))
+        if gu_prev is None:  # the first step extrapolates by exactly 0
+            gu_prev = gu
+        center = gu + alpha_n * (gu - gu_prev)
 
         def proximal(w):
             anchor = recover_iterate(problem, u, w)
             return _checked_oracle_value(problem.K, problem.aux_oracle(anchor, center, rho), "equilibrium")
 
         w, inner = inner_fixed_point(proximal, gu.copy(), config, "eq-inertial")
-        u_prev = u
+        gu_prev = gu
         u_next = recover_iterate(problem, u, w)
         check_divergence(u_next)
         return u_next, float(np.linalg.norm(w - gu)), {"alpha_n": alpha_n, "inner_iters": inner}

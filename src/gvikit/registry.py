@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,14 +59,12 @@ class ProblemSpec:
 
     The start-point rule for every registry problem is the projection
     of the origin onto K, which lands on the uniform vector e for the
-    simplex instance and on 0 for the box instances.  default_rho None
-    lets each solver pick its own step.
+    simplex instance and on 0 for the box instances.
     """
 
     id: str
     n: Optional[int] = None
     path: Optional[str] = None
-    default_rho: Optional[float] = None
 
     def __post_init__(self):
         if self.id not in _PROBLEM_IDS:
@@ -209,41 +207,23 @@ def run_suite(specs, algorithms, config=None):
     config = SolveConfig() if config is None else config
     results = []
     for spec in specs:
-        problem = None
-        build_error = None
         try:
-            problem = build_problem(spec)
-        except Exception as exc:  # recorded per row below
-            build_error = str(exc)
+            problem, build_error = build_problem(spec), None
+        except Exception as exc:  # recorded on every row of this spec
+            problem, build_error = None, str(exc)
         for alg in algorithms:
-            if build_error is not None:
-                results.append(
-                    BenchResult(spec.id, alg, spec.n or 0, None, False, float("nan"), 0.0, build_error)
-                )
-                continue
-            run_config = config if spec.default_rho is None else replace(config, rho=spec.default_rho)
-            start = time.perf_counter()
-            try:
-                report = ALGORITHMS[alg](problem, run_config)
+            iterations, converged, residual, elapsed, error = None, False, float("nan"), 0.0, build_error
+            if build_error is None:
+                start = time.perf_counter()
+                try:
+                    report = ALGORITHMS[alg](problem, config)
+                    iterations, converged, residual = report.iterations, report.converged, report.residual_norm
+                except Exception as exc:
+                    error = str(exc)
                 elapsed = time.perf_counter() - start
-                results.append(
-                    BenchResult(
-                        spec.id,
-                        alg,
-                        _row_n(spec, problem),
-                        report.iterations,
-                        report.converged,
-                        report.residual_norm,
-                        elapsed,
-                    )
-                )
-            except Exception as exc:
-                elapsed = time.perf_counter() - start
-                results.append(
-                    BenchResult(
-                        spec.id, alg, _row_n(spec, problem), None, False, float("nan"), elapsed, str(exc)
-                    )
-                )
+            results.append(
+                BenchResult(spec.id, alg, _row_n(spec, problem), iterations, converged, residual, elapsed, error)
+            )
     return results
 
 

@@ -7,8 +7,6 @@ where the operator is evaluated and how implicitly the step is taken.
 
 from __future__ import annotations
 
-import functools
-
 from .core import (
     effective_T,
     eval_operator,
@@ -27,11 +25,17 @@ EXPLICIT_T = "ExplicitT"
 _VARIANTS = (FORWARD_T, FULL_IMPLICIT, EXPLICIT_T)
 
 
-def _lyapunov(problem, u):
+def _lyapunov(problem):
+    # u -> ||g(u*) - g(u)||^2, with g(u*) evaluated once per solve.
     if problem.known_solution is None:
         return None
-    gap = g_value(problem, problem.known_solution) - g_value(problem, u)
-    return float(gap @ gap)
+    g_star = g_value(problem, problem.known_solution)
+
+    def lyapunov(u):
+        gap = g_star - g_value(problem, u)
+        return float(gap @ gap)
+
+    return lyapunov
 
 
 def solve_projection(problem, config=None, u0=None):
@@ -182,5 +186,4 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
         return recover_iterate(problem, u, w), _step_gsq
 
     details = {"algorithm": "dynamical", "variant": variant, "h": h}
-    return iterate_residual(problem, config, rho, u, update, details,
-                            lyapunov=functools.partial(_lyapunov, problem))
+    return iterate_residual(problem, config, rho, u, update, details, lyapunov=_lyapunov(problem))

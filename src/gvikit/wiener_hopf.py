@@ -90,12 +90,7 @@ def _search_step(problem, u, s, config):
     d = -(eta * R - eta * s.t + Ty)
     c = eta * float(R @ (R - s.t + Ty))
     dsq = float(d @ d)
-    if dsq == 0.0:
-        alpha = 0.0
-    elif config.step_denominator_squared:
-        alpha = c / dsq
-    else:
-        alpha = c / np.sqrt(dsq)
+    alpha = c / dsq if dsq else 0.0
     return d, alpha, c, search
 
 
@@ -117,14 +112,11 @@ def _solve_double_projection(problem, config, u0, optimal):
                 g_next = project(problem.K, moved)
         else:
             g_next = project(problem.K, moved)
-        info["d"] = d.copy()
+        info["d"] = d
         info["step_g"] = g_next - s.gu
         return recover_iterate(problem, u, g_next), info
 
-    details = {
-        "algorithm": "dp-optimal" if optimal else "dp-basic",
-        "step_denominator": "norm_squared" if config.step_denominator_squared else "norm",
-    }
+    details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
     return iterate_residual(problem, config, 1.0, u, update, details)
 
 
@@ -142,9 +134,6 @@ def solve_double_projection_basic(problem, config=None, u0=None):
     ----------
     problem : GviProblem
     config : SolveConfig, optional
-        The step_denominator_squared flag switches the alpha denominator
-        between ‖d‖² (default) and ‖d‖; the choice is recorded in the
-        report details.
     u0 : array_like, optional
 
     Returns

@@ -8,7 +8,9 @@ from oracles import fd_gradient, p1_feasible_samples, p1_h1, p1_solution_branche
 from gvikit import (
     ControlledOperator,
     GviProblem,
+    ProblemSpec,
     SolveConfig,
+    build_problem,
     gap_N,
     regularized_gap,
     regularized_gap_gradient,
@@ -223,3 +225,15 @@ def test_gap_residual_equivalence_on_branches():
         shifted = gu - op.T2(np.array([u]), np.array([z]))
         fp_gap = np.linalg.norm(gu - project(P1_K, shifted))
         assert (abs(val.value) <= 1e-10) == (fp_gap <= 1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="gap descent at a fixed rho = 0.15 runs all 1000 iterations on example3 (n = 100) "
+    "and ends at a natural residual of 3.4e-3 without raising; the modified descent of "
+    "ROADMAP item 5 is meant to fix it",
+)
+def test_gap_descent_converges_on_example3_at_fixed_rho():
+    problem = build_problem(ProblemSpec("example3", n=100))
+    report = solve_gap_descent(problem, SolveConfig(rho=0.15))
+    assert report.converged

@@ -142,10 +142,17 @@ def test_run_suite_deterministic_modulo_time():
         assert a.residual_norm == b.residual_norm
 
 
-def test_run_suite_spec_default_rho_wins():
-    spec = ProblemSpec("example3", n=10, default_rho=0.2)
-    rows = run_suite([spec], ["projection"], SolveConfig(rho=5.0))
-    assert rows[0].converged
+def test_run_suite_build_error_row_per_algorithm(tmp_path):
+    path = tmp_path / "nobuild.py"
+    path.write_text("x = 1\n")
+    rows = run_suite([ProblemSpec("custom", path=str(path))], ["projection", "dp-basic"])
+    assert [r.algorithm for r in rows] == ["projection", "dp-basic"]
+    for row in rows:
+        assert row.iterations is None
+        assert not row.converged
+        assert math.isnan(row.residual_norm)
+        assert row.wall_time == 0.0
+        assert row.error == f"custom module {str(path)!r} defines no build() function"
 
 
 def test_emit_table_csv_and_nonconverged_marker():

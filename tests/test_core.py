@@ -14,7 +14,6 @@ from gvikit import (
     is_solution,
     quasi_to_general,
     residual,
-    resolve_rho,
     solve_projection,
     wiener_hopf_residual,
 )
@@ -247,8 +246,8 @@ def test_lipschitz_estimate_matches_linear_operator():
 
 
 def test_resolve_rho_prefers_explicit_value(example4_10):
-    assert resolve_rho(example4_10, SolveConfig(rho=0.7)) == 0.7
-    auto = resolve_rho(example4_10, SolveConfig())
+    assert solve_projection(example4_10, SolveConfig(rho=0.7)).details["rho"] == 0.7
+    auto = solve_projection(example4_10, SolveConfig(rho=None)).details["rho"]
     assert auto > 0.0
     assert auto == pytest.approx(0.5 / estimate_lipschitz(example4_10))
 

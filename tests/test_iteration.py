@@ -10,6 +10,7 @@ import gvikit.wiener_hopf
 from gvikit import (
     ALGORITHMS,
     Box,
+    EquilibriumProblem,
     GviProblem,
     IntersectionWithHyperplane,
     ProblemSpec,
@@ -18,8 +19,11 @@ from gvikit import (
     Simplex,
     build_problem,
     project_intersection,
+    projection_aux_oracle,
     residual,
     solve_double_projection_optimal,
+    solve_dynamical,
+    solve_eq_inertial,
 )
 from gvikit.errors import UnsupportedSetError
 
@@ -156,3 +160,43 @@ def test_large_example3_iterations_and_operator_evaluations(alg, iterations, T_e
     report = ALGORITHMS[alg](problem, SolveConfig(rho=0.15))
     assert report.converged
     assert (report.iterations, calls[0]) == (iterations, T_evals)
+
+
+def _counted_affine_g():
+    # g(u) = 2u + 0.1 maps [0, 1]^n onto [0.1, 2.1]^n.
+    calls = [0]
+
+    def g(u):
+        calls[0] += 1
+        return 2.0 * np.asarray(u) + 0.1
+
+    return g, lambda y: (np.asarray(y) - 0.1) / 2.0, calls
+
+
+def test_eq_inertial_evaluates_g_once_per_step():
+    # g(u_{n-1}) is carried from the step before, not evaluated again.
+    n = 10
+    T = build_problem(ProblemSpec("example4", n=n)).T
+    K = Box(np.full(n, 0.1), np.full(n, 2.1))
+    g, g_inverse, calls = _counted_affine_g()
+    problem = EquilibriumProblem(dim=n, F=lambda u, y: float(T(u) @ (y - u)), K=K,
+                                 aux_oracle=projection_aux_oracle(T, K), g=g, g_inverse=g_inverse)
+    report = solve_eq_inertial(problem, SolveConfig(rho=0.5, alpha_schedule=0.3))
+    assert report.converged
+    assert (report.iterations, calls[0]) == (45, 45)
+
+
+def test_dynamical_lyapunov_evaluates_g_at_the_solution_once():
+    # One g per iterate for the stage, one for the Lyapunov energy, and
+    # one g(u*) for the whole solve.
+    n = 10
+    example3 = build_problem(ProblemSpec("example3", n=n))
+    g, g_inverse, calls = _counted_affine_g()
+    problem = GviProblem(dim=n, T=example3.T, K=Box(np.full(n, 0.1), np.full(n, 2.1)), g=g,
+                         g_inverse=g_inverse, known_solution=example3.known_solution)
+    calls[0] = 0  # construction checks g_inverse against g
+    report = solve_dynamical(problem, SolveConfig(rho=0.3), variant="ExplicitT")
+    assert report.converged
+    assert (report.iterations, calls[0]) == (93, 2 * (93 + 1) + 1)
+    gap = g(example3.known_solution) - g(report.solution)
+    assert report.trace[-1].lyapunov == float(gap @ gap)

@@ -116,21 +116,6 @@ def test_dp_optimal_iteration_bands(example3_10, example4_10, example2):
         assert is_solution(problem, report.solution, rho, 1e-6)
 
 
-def test_dp_step_denominator_flag_changes_basic_run(example3_10):
-    # The basic corrector applies alpha directly, so the denominator
-    # convention matters there; the optimal corrector re-projects onto
-    # the cutting hyperplane and absorbs the scaling.
-    squared = solve_double_projection_basic(example3_10, DEFAULTS)
-    linear = solve_double_projection_basic(
-        example3_10,
-        SolveConfig(tol=1e-7, max_iters=1000, step_denominator_squared=False),
-    )
-    assert squared.details["step_denominator"] == "norm_squared"
-    assert linear.details["step_denominator"] == "norm"
-    assert squared.converged
-    assert linear.iterations != squared.iterations or not linear.converged
-
-
 def test_dp_accepted_steps_have_positive_pairing(example3_10, example4_10):
     for problem in (example3_10, example4_10):
         report = solve_double_projection_optimal(problem, DEFAULTS)
