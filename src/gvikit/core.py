@@ -19,6 +19,8 @@ from .errors import CapabilityError, DivergenceError, InnerLoopError, NumericDom
 from .sets import ConvexSet, NonnegOrthant, project
 
 _DIVERGENCE_LIMIT = 1e12
+# Relative factor of the inner-loop stop rule at the first outer step.
+_INNER_KAPPA = 0.1
 
 
 @dataclass
@@ -169,7 +171,9 @@ class SolveConfig:
     alpha : float
         Sufficient-decrease constant for the gap-descent line search.
     inner_tol : float
-        Tolerance for inner fixed-point loops of implicit schemes.
+        Floor of the stop test of the inner fixed-point loops of implicit
+        schemes, which otherwise stop relative to their first step (see
+        :func:`inner_fixed_point`).
     inner_max_iters : int
         Cap for inner fixed-point loops.
     alpha_schedule : float or callable, optional
@@ -462,8 +466,22 @@ def check_divergence(u):
         raise DivergenceError(u)
 
 
-def inner_fixed_point(fn, w, config, tag, w_next=None):
-    """Iterate w <- fn(w) until two successive values agree to inner_tol.
+def inner_fixed_point(fn, w, config, tag, k, w_next=None):
+    """Iterate w <- fn(w) until a step is small relative to the first one.
+
+    The loop takes outer step k of an implicit scheme and stops once
+
+        ||w_{j+1} - w_j|| <= max(inner_tol, kappa_k * ||w_1 - w_0||),
+        kappa_k = _INNER_KAPPA / (k + 1)^2,
+
+    the relative-error rule of inexact proximal-point methods
+    (Rockafellar, SIAM J. Control Optim. 14, 1976; Solodov and Svaiter,
+    Set-Valued Anal. 7, 1999).  The first step is as large as the outer
+    move; for an inner map of modulus q < 1 the returned value lies
+    within q/(1-q) times the last step of the exact fixed point, so the
+    inner error is of order kappa_k times the outer move.  kappa_k is
+    summable along the run, as Rockafellar's criteria require.  At a
+    fixed point of fn the first step is 0 and one evaluation is made.
 
     ``w_next``, when given, is fn(w) already known to the caller; it
     counts as the first evaluation.
@@ -476,15 +494,26 @@ def inner_fixed_point(fn, w, config, tag, w_next=None):
     Raises
     ------
     InnerLoopError
-        Tagged with ``tag`` after inner_max_iters evaluations.
+        Tagged with ``tag`` after inner_max_iters evaluations; the
+        message gives the last step ratio.
     """
+    stop = prev = step = None
     for inner in range(1, config.inner_max_iters + 1):
         if w_next is None:
             w_next = fn(w)
-        if float(np.linalg.norm(w_next - w)) <= config.inner_tol:
+        prev, step = step, float(np.linalg.norm(w_next - w))
+        if stop is None:
+            stop = max(config.inner_tol, _INNER_KAPPA / (k + 1) ** 2 * step)
+        if step <= stop:
             return w_next, inner
         w, w_next = w_next, None
-    raise InnerLoopError(tag)
+    ratio = step / prev if prev else float("nan")
+    raise InnerLoopError(
+        tag,
+        f"inner fixed-point loop for {tag!r} did not converge in {config.inner_max_iters} evaluations;"
+        f" its last step ratio ||w_(j+1) - w_j|| / ||w_j - w_(j-1)|| is {ratio:.3g}.  A ratio near or"
+        " above 1 means the inner map does not contract at this rho (rho*L >= 1): use a smaller rho.",
+    )
 
 
 def iterate(u, norm, step, config, details, info=None, lyapunov=None):

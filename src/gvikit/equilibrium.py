@@ -244,7 +244,7 @@ def solve_eq_inertial(problem, config=None, u0=None):
             anchor = recover_iterate(problem, u, w)
             return _checked_oracle_value(problem.K, problem.aux_oracle(anchor, center, rho), "equilibrium")
 
-        w, inner = inner_fixed_point(proximal, gu.copy(), config, "eq-inertial")
+        w, inner = inner_fixed_point(proximal, gu.copy(), config, "eq-inertial", k)
         gu_prev = gu
         u_next = recover_iterate(problem, u, w)
         check_divergence(u_next)
@@ -368,7 +368,7 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
         else:
             u_next, _ = inner_fixed_point(
                 lambda w: _power_subproblem(problem, w, u, rho, config), u.copy(), config,
-                "higher-order implicit step",
+                "higher-order implicit step", k,
             )
         check_divergence(u_next)
         step_sq = float(np.linalg.norm(u_next - u)) ** 2

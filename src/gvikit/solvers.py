@@ -182,7 +182,7 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
 
         # The stage's projection gives the first inner value: at w = g(u) both
         # variants project g(u) - rho*T(u), exactly so for the identity g.
-        w, _ = inner_fixed_point(damped, gu, config, variant, w_next=(h * s.p + gu) / (1.0 + h))
+        w, _ = inner_fixed_point(damped, gu, config, variant, k, w_next=(h * s.p + gu) / (1.0 + h))
         return recover_iterate(problem, u, w), _step_gsq
 
     details = {"algorithm": "dynamical", "variant": variant, "h": h}

@@ -91,7 +91,7 @@ def _search_step(problem, u, s, config):
     c = eta * float(R @ (R - s.t + Ty))
     dsq = float(d @ d)
     alpha = c / dsq if dsq else 0.0
-    return d, alpha, c, search
+    return d, dsq, alpha, c, search
 
 
 def _solve_double_projection(problem, config, u0, optimal):
@@ -101,10 +101,10 @@ def _solve_double_projection(problem, config, u0, optimal):
     u = start_point(problem, u0)
 
     def update(u, s, k):
-        d, alpha, c, search = _search_step(problem, u, s, config)
+        d, dsq, alpha, c, search = _search_step(problem, u, s, config)
         info = {"m": search.m, "eta": search.eta, "c": c, "alpha": alpha}
         moved = s.gu + alpha * d
-        if optimal and float(d @ d) > 0.0:
+        if optimal and dsq > 0.0:
             try:
                 g_next = project_intersection(problem.K, d, c, moved, anchor=s.gu)
             except InfeasibleSetError:

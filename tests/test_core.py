@@ -1,5 +1,7 @@
 """Problem types, residual maps, and shared configuration plumbing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,12 @@ from gvikit import (
     solve_projection,
     wiener_hopf_residual,
 )
-from gvikit.core import check_divergence, g_value, recover_iterate
+import gvikit.core
+from gvikit.core import check_divergence, g_value, inner_fixed_point, recover_iterate
 from gvikit.errors import (
     CapabilityError,
     DivergenceError,
+    InnerLoopError,
     NumericDomainError,
     UnsupportedSetError,
 )
@@ -250,6 +254,43 @@ def test_resolve_rho_prefers_explicit_value(example4_10):
     auto = solve_projection(example4_10, SolveConfig(rho=None)).details["rho"]
     assert auto > 0.0
     assert auto == pytest.approx(0.5 / estimate_lipschitz(example4_10))
+
+
+def _counting(fn):
+    calls = [0]
+
+    def counted(w):
+        calls[0] += 1
+        return fn(w)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_inner_loop_stops_relative_to_its_first_step(k):
+    # From 0 the j-th step of w <- 0.5w + 1 is 0.5^(j-1), so the loop at
+    # outer step k stops at the first j with 0.5^(j-1) <= kappa / (k+1)^2.
+    kappa = gvikit.core._INNER_KAPPA / (k + 1) ** 2
+    expected = 1 + math.ceil(math.log(kappa) / math.log(0.5))
+    fn, calls = _counting(lambda w: 0.5 * w + 1.0)
+    w, evals = inner_fixed_point(fn, np.zeros(1), SolveConfig(), "affine", k)
+    assert evals == calls[0] == expected
+    assert 0.0 < 2.0 - w[0] <= kappa
+
+
+def test_inner_loop_at_a_fixed_point_evaluates_once():
+    fn, calls = _counting(lambda w: 0.5 * w + 1.0)
+    w, evals = inner_fixed_point(fn, np.full(3, 2.0), SolveConfig(), "affine", 0)
+    assert evals == calls[0] == 1
+    np.testing.assert_array_equal(w, np.full(3, 2.0))
+
+
+def test_inner_loop_on_an_expanding_map_raises_with_its_step_ratio():
+    fn, calls = _counting(lambda w: 2.0 * w + 1.0)
+    with pytest.raises(InnerLoopError, match=r"'expand'.* 50 evaluations.* is 2\..*smaller rho") as err:
+        inner_fixed_point(fn, np.zeros(1), SolveConfig(inner_max_iters=50), "expand", 0)
+    assert err.value.variant == "expand"
+    assert calls[0] == 50
 
 
 def test_divergence_detector():

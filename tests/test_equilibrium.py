@@ -109,6 +109,13 @@ def test_eq_inertial_inner_cap_raises(example3_10):
         solve_eq_inertial(ep, SolveConfig(rho=0.1, inner_max_iters=1))
 
 
+def test_eq_inertial_inner_loop_error_names_rho(example4_10):
+    # The oracle default rho = 1 meets example4's L = 1: the inner map does
+    # not contract, and the error says that rho is the cause.
+    with pytest.raises(InnerLoopError, match=r"eq-inertial.*ratio.*rho\*L >= 1.*smaller rho"):
+        solve_eq_inertial(wrap_equilibrium(example4_10), SolveConfig())
+
+
 def test_eq_inertial_rejects_weight_outside_unit_interval(example3_10):
     ep = wrap_equilibrium(example3_10)
     with pytest.raises(ValueError):

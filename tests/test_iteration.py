@@ -12,6 +12,7 @@ from gvikit import (
     Box,
     EquilibriumProblem,
     GviProblem,
+    HigherOrderProblem,
     IntersectionWithHyperplane,
     ProblemSpec,
     SolveConfig,
@@ -24,6 +25,7 @@ from gvikit import (
     solve_double_projection_optimal,
     solve_dynamical,
     solve_eq_inertial,
+    solve_higher_order,
 )
 from gvikit.errors import UnsupportedSetError
 
@@ -160,6 +162,28 @@ def test_large_example3_iterations_and_operator_evaluations(alg, iterations, T_e
     report = ALGORITHMS[alg](problem, SolveConfig(rho=0.15))
     assert report.converged
     assert (report.iterations, calls[0]) == (iterations, T_evals)
+
+
+def test_example2_dynamical_implicit_operator_evaluations():
+    # Each inner loop stops relative to its first step, not at inner_tol.
+    problem, calls = _counted(build_problem(ProblemSpec("example2")))
+    report = ALGORITHMS["dynamical-implicit"](problem, SolveConfig())
+    assert report.converged
+    assert (report.iterations, calls[0]) == (467, 7481)
+    # The exact solution of example2 (its residual is 0.0 in floating point).
+    star = np.array([93.0 / 38.0, 0.5, 0.0, 20.0 / 19.0])
+    assert np.max(np.abs(report.solution - star)) <= 1e-5
+
+
+def test_example3_higher_order_implicit_operator_evaluations():
+    # The small-mix run of the implicit higher-order mode.
+    base = build_problem(ProblemSpec("example3", n=100))
+    problem, calls = _counted(base)
+    report = solve_higher_order(HigherOrderProblem(base=problem, p=3.0, mu=0.5), SolveConfig(rho=0.1),
+                                mode="implicit")
+    assert report.converged
+    assert (report.iterations, calls[0]) == (89, 614)
+    assert np.max(np.abs(report.solution - base.known_solution)) <= 1e-6
 
 
 def _counted_affine_g():
