@@ -2,10 +2,9 @@
 
 The central object is :class:`GviProblem`: find u with g(u) in K such that
 
-    <T(u), g(v) - g(u)> >= 0   for all v with g(v) in K,
+    <T(u), g(v) - g(u)> >= 0   for all v with g(v) in K.
 
-optionally with a second operator A entering as T(u) - A(u).  Solvers
-consume a :class:`SolveConfig` and produce a :class:`SolveReport`.
+Solvers consume a :class:`SolveConfig` and produce a :class:`SolveReport`.
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ class GviProblem:
     g_inverse : callable, optional
         Inverse of g, required by algorithms that update in g-image space.
         Checked against g on a probe set at construction.
-    A : callable, optional
-        Second operator; the effective operator is T(u) - A(u).
     known_solution : ndarray, optional
         Reference solution when available, used by diagnostics.
     """
@@ -51,7 +48,6 @@ class GviProblem:
     K: ConvexSet
     g: Optional[Callable[[np.ndarray], np.ndarray]] = None
     g_inverse: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    A: Optional[Callable[[np.ndarray], np.ndarray]] = None
     known_solution: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -80,7 +76,7 @@ def eval_operator(problem, name, u):
     ----------
     problem : GviProblem
     name : str
-        One of ``"T"``, ``"g"``, ``"A"``, ``"g_inverse"``.
+        One of ``"T"``, ``"g"``, ``"g_inverse"``.
     u : ndarray
 
     Returns
@@ -95,8 +91,6 @@ def eval_operator(problem, name, u):
     fn = getattr(problem, name)
     if name == "g" and fn is None:
         return np.asarray(u, dtype=float)
-    if name == "A" and fn is None:
-        return np.zeros(problem.dim)
     if name == "g_inverse" and fn is None:
         if problem.g is None:
             return np.asarray(u, dtype=float)
@@ -108,11 +102,8 @@ def eval_operator(problem, name, u):
 
 
 def effective_T(problem, u):
-    """T(u) - A(u), the operator actually driving every residual and step."""
-    t = eval_operator(problem, "T", u)
-    if problem.A is None:
-        return t
-    return t - eval_operator(problem, "A", u)
+    """T(u), the operator driving every residual and step, checked finite."""
+    return eval_operator(problem, "T", u)
 
 
 def g_value(problem, u):
@@ -217,6 +208,10 @@ class SolveConfig:
             raise ValueError("mu_step must be nonnegative")
         if self.beta_step is not None and self.beta_step < 0:
             raise ValueError("beta_step must be nonnegative")
+        if not self.inner_tol > 0:
+            raise ValueError("inner_tol must be positive")
+        if self.inner_max_iters < 1:
+            raise ValueError("inner_max_iters must be >= 1")
 
     def alpha_at(self, n, default=1.0):
         """Resolve the blending weight alpha_n for iteration n."""
@@ -268,7 +263,7 @@ class SolveReport:
 class Stage(NamedTuple):
     """The projection stage at a point u, for a step scalar rho.
 
-    gu = g(u), t = T(u) - A(u) and p = P_K[gu - rho*t].  Every
+    gu = g(u), t = T(u) and p = P_K[gu - rho*t].  Every
     residual-driven solver steps from the stage at its current iterate,
     so T is evaluated once per point.
     """
@@ -279,7 +274,7 @@ class Stage(NamedTuple):
 
     @property
     def r(self):
-        """The projection residual g(u) - P_K[g(u) - rho*(T(u) - A(u))]."""
+        """The projection residual g(u) - P_K[g(u) - rho*T(u)]."""
         return self.gu - self.p
 
     def norm(self):
@@ -288,14 +283,14 @@ class Stage(NamedTuple):
 
 
 def projection_stage(problem, u, rho):
-    """Evaluate g, T - A and one projection at u; see :class:`Stage`."""
+    """Evaluate g, T and one projection at u; see :class:`Stage`."""
     gu = g_value(problem, u)
     t = effective_T(problem, u)
     return Stage(gu, t, project(problem.K, gu - rho * t))
 
 
 def residual(problem, u, rho):
-    """Projection residual R(u) = g(u) - P_K[g(u) - rho*(T(u) - A(u))].
+    """Projection residual R(u) = g(u) - P_K[g(u) - rho*T(u)].
 
     Zero exactly at solutions of the variational inequality.
 
@@ -409,7 +404,7 @@ def wiener_hopf_residual(problem, z, rho):
 
 
 def estimate_lipschitz(problem, trials=20, seed=0, eps=1e-4):
-    """Estimate the Lipschitz constant of the effective operator.
+    """Estimate the Lipschitz constant of T.
 
     Samples finite differences at projected random base points.
 
@@ -444,18 +439,39 @@ def default_rho(problem):
     return 0.5 / lip
 
 
-def start_point(problem, u0):
-    """A private copy of u0, or the projection of the origin onto K when u0 is None."""
-    if u0 is None:
-        return project(problem.K, np.zeros(problem.dim))
-    return np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+def prepare_solve(problem, config, u0, default=default_rho, fixed=False):
+    """How every solve starts: its config, its step scalar rho and its start point.
 
-
-def prepare_solve(problem, config, u0):
-    """The config (default when None), its rho (default_rho when None) and the start point."""
+    The config is ``SolveConfig()`` when None.  rho is ``config.rho``,
+    or ``default`` when that is None or ``fixed`` is set; ``default`` is
+    a number, or a function of the problem such as :func:`default_rho`
+    (the Lipschitz probe of the residual family).  The start point is a
+    private copy of u0, or the projection of the origin onto K when u0
+    is None.
+    """
     config = SolveConfig() if config is None else config
-    rho = config.rho if config.rho is not None else default_rho(problem)
-    return config, rho, start_point(problem, u0)
+    rho = default if fixed or config.rho is None else config.rho
+    if callable(rho):
+        rho = rho(problem)
+    if u0 is None:
+        return config, rho, project(problem.K, np.zeros(problem.dim))
+    return config, rho, np.atleast_1d(np.asarray(u0, dtype=float)).copy()
+
+
+def known_solution_lyapunov(problem):
+    """u -> ||g(u*) - g(u)||^2 for the problem's known solution u*, or None without one.
+
+    g(u*) is evaluated once, when this is called.
+    """
+    if problem.known_solution is None:
+        return None
+    g_star = g_value(problem, problem.known_solution)
+
+    def lyapunov(u):
+        gap = g_star - g_value(problem, u)
+        return float(gap @ gap)
+
+    return lyapunov
 
 
 def check_divergence(u):

@@ -4,6 +4,8 @@ Equilibrium and variational-like problems have no computable projection
 step for general bifunctions, so the per-iteration subproblem is a
 first-class capability: the caller supplies an oracle and the solvers
 drive it.  The linear/projection reduction ships as the only built-in.
+The oracle solvers take rho = 1 when config.rho is None, with no
+Lipschitz probe.
 The higher-order family regularizes each half-step with a p-th power
 penalty and solves it by projected gradient descent.
 """
@@ -17,15 +19,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    SolveConfig,
     check_divergence,
     effective_T,
     g_value,
     inner_fixed_point,
     iterate,
+    known_solution_lyapunov,
     prepare_solve,
     recover_iterate,
-    start_point,
 )
 from .errors import CapabilityError, InnerLoopError, OracleContractError, UnsupportedSetError
 from .sets import Box, NonnegOrthant, WholeSpace, distance, project
@@ -157,15 +158,6 @@ def diagonal_kernel_oracle(T, K, weights):
     return oracle
 
 
-def _prepare_oracle_solve(problem, config, u0):
-    # Oracle-driven solvers default to rho = 1 rather than a Lipschitz probe.
-    config = SolveConfig() if config is None else config
-    rho = config.rho if config.rho is not None else 1.0
-    if not rho > 0:
-        raise ValueError("rho must be positive")
-    return config, rho, start_point(problem, u0)
-
-
 def solve_eq_predictor_corrector(problem, config=None, u0=None):
     """Predictor-corrector iteration through the auxiliary oracle.
 
@@ -185,7 +177,7 @@ def solve_eq_predictor_corrector(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config, rho, u = _prepare_oracle_solve(problem, config, u0)
+    config, rho, u = prepare_solve(problem, config, u0, default=1.0)
     beta = rho if config.beta_step is None else config.beta_step
     if not beta > 0:
         raise ValueError("beta_step must be positive for the predictor")
@@ -227,7 +219,7 @@ def solve_eq_inertial(problem, config=None, u0=None):
         When the inner iteration fails to go Cauchy within
         inner_max_iters.
     """
-    config, rho, u = _prepare_oracle_solve(problem, config, u0)
+    config, rho, u = prepare_solve(problem, config, u0, default=1.0)
     gu_prev = None  # g(u_{n-1}), carried from the previous step
 
     def step(u, k):
@@ -270,7 +262,7 @@ def solve_varlike(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config, rho, u = _prepare_oracle_solve(problem, config, u0)
+    config, rho, u = prepare_solve(problem, config, u0, default=1.0)
 
     def step(u, k):
         gu = g_value(problem, u)
@@ -289,8 +281,6 @@ def _power_subproblem(problem, anchor, center, rho, config):
     Ta = effective_T(base, anchor)
     if p == 2.0:
         return project(base.K, (center + nu * anchor - rho * Ta) / (1.0 + nu))
-    if nu == 0.0:
-        return project(base.K, center - rho * Ta)
 
     def objective(v):
         return float(
@@ -356,10 +346,6 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     if base.g is not None:
         raise CapabilityError("the built-in subproblem solver needs g = identity")
     config, rho, u = prepare_solve(base, config, u0)
-    star = None if base.known_solution is None else np.asarray(base.known_solution, dtype=float)
-
-    def lyap(pt):
-        return float(np.linalg.norm(star - pt)) ** 2 if star is not None else None
 
     def step(u, k):
         if mode == "two_step":
@@ -375,4 +361,4 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
         return u_next, np.sqrt(step_sq), {"step_sq": step_sq}
 
     details = {"algorithm": "higher-order", "mode": mode, "rho": rho, "p": problem.p, "nu": problem.nu}
-    return iterate(u, np.inf, step, config, details, lyapunov=lyap)
+    return iterate(u, np.inf, step, config, details, lyapunov=known_solution_lyapunov(base))

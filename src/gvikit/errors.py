@@ -11,7 +11,7 @@ class NumericDomainError(GviError):
     Attributes
     ----------
     component : str
-        Name of the offending component, e.g. ``"T"``, ``"g"``, ``"A"``.
+        Name of the offending component, e.g. ``"T"``, ``"g"``, ``"iterate"``.
     """
 
     def __init__(self, component, message=None):

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .auxiliary import solve_gap_descent, solve_three_step
-from .core import GviProblem, SolveConfig
+from .core import GviProblem
 from .errors import ProblemSpecError
 from .sets import Box, Simplex
 from .solvers import (
@@ -72,6 +72,8 @@ class ProblemSpec:
         if self.id in ("example3", "example4"):
             if self.n is None or self.n < 1:
                 raise ProblemSpecError(f"{self.id} requires n >= 1")
+        elif self.n is not None:
+            raise ProblemSpecError(f"{self.id} has a fixed size and takes no n")
         if self.id == "custom" and not self.path:
             raise ProblemSpecError("custom problems require a module path")
 
@@ -204,7 +206,6 @@ def run_suite(specs, algorithms, config=None):
             raise ProblemSpecError(
                 f"unknown algorithm id {alg!r}; expected one of {tuple(ALGORITHMS)}"
             )
-    config = SolveConfig() if config is None else config
     results = []
     for spec in specs:
         try:

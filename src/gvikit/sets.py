@@ -60,6 +60,14 @@ class Simplex(ConvexSet):
             raise ValueError("simplex total must be positive")
 
 
+def _set_normal(cset, kind):
+    a = np.atleast_1d(np.asarray(cset.a, dtype=float))
+    if not np.any(a != 0):
+        raise ValueError(f"{kind} normal must be nonzero")
+    object.__setattr__(cset, "a", a)
+    object.__setattr__(cset, "b", float(cset.b))
+
+
 @dataclass(frozen=True)
 class Halfspace(ConvexSet):
     """{x : a.x <= b}."""
@@ -68,11 +76,7 @@ class Halfspace(ConvexSet):
     b: float
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if not np.any(a != 0):
-            raise ValueError("halfspace normal must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        _set_normal(self, "halfspace")
 
 
 @dataclass(frozen=True)
@@ -83,11 +87,7 @@ class Hyperplane(ConvexSet):
     b: float
 
     def __post_init__(self):
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if not np.any(a != 0):
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        _set_normal(self, "hyperplane")
 
 
 @dataclass(frozen=True)
@@ -101,11 +101,7 @@ class IntersectionWithHyperplane(ConvexSet):
     def __post_init__(self):
         if not isinstance(self.base, INTERSECTION_BASES):
             raise ValueError("intersection base must be Box, NonnegOrthant, or Simplex")
-        a = np.atleast_1d(np.asarray(self.a, dtype=float))
-        if not np.any(a != 0):
-            raise ValueError("hyperplane normal must be nonzero")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        _set_normal(self, "hyperplane")
 
 
 # The base sets project_intersection supports.

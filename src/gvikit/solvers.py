@@ -13,6 +13,7 @@ from .core import (
     g_value,
     inner_fixed_point,
     iterate_residual,
+    known_solution_lyapunov,
     prepare_solve,
     recover_iterate,
 )
@@ -23,19 +24,6 @@ FORWARD_T = "ForwardT"
 FULL_IMPLICIT = "FullImplicit"
 EXPLICIT_T = "ExplicitT"
 _VARIANTS = (FORWARD_T, FULL_IMPLICIT, EXPLICIT_T)
-
-
-def _lyapunov(problem):
-    # u -> ||g(u*) - g(u)||^2, with g(u*) evaluated once per solve.
-    if problem.known_solution is None:
-        return None
-    g_star = g_value(problem, problem.known_solution)
-
-    def lyapunov(u):
-        gap = g_star - g_value(problem, u)
-        return float(gap @ gap)
-
-    return lyapunov
 
 
 def solve_projection(problem, config=None, u0=None):
@@ -186,4 +174,4 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
         return recover_iterate(problem, u, w), _step_gsq
 
     details = {"algorithm": "dynamical", "variant": variant, "h": h}
-    return iterate_residual(problem, config, rho, u, update, details, lyapunov=_lyapunov(problem))
+    return iterate_residual(problem, config, rho, u, update, details, lyapunov=known_solution_lyapunov(problem))

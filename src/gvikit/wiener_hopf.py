@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    SolveConfig,
-    effective_T,
-    iterate_residual,
-    prepare_solve,
-    recover_iterate,
-    start_point,
-)
+from .core import effective_T, iterate_residual, prepare_solve, recover_iterate
 from .errors import InfeasibleSetError, LineSearchError
 from .sets import check_intersection_base, project, project_intersection
 
@@ -49,13 +42,13 @@ def armijo_search(problem, u, R_u, gamma, sigma, T_u=None):
     gamma, sigma : float
         Backtracking ratio and sufficient-decrease scalar, both in (0, 1).
     T_u : ndarray, optional
-        T(u) - A(u) when the caller already has it; evaluated otherwise.
+        T(u) when the caller already has it; evaluated otherwise.
 
     Returns
     -------
     ArmijoResult
         With eta = gamma**m, trial_point = u - eta*R_u and trial_T the
-        effective operator at trial_point.
+        operator T at trial_point.
 
     Raises
     ------
@@ -97,8 +90,7 @@ def _search_step(problem, u, s, config):
 def _solve_double_projection(problem, config, u0, optimal):
     if optimal:
         check_intersection_base(problem.K)
-    config = SolveConfig() if config is None else config
-    u = start_point(problem, u0)
+    config, rho, u = prepare_solve(problem, config, u0, default=1.0, fixed=True)
 
     def update(u, s, k):
         d, dsq, alpha, c, search = _search_step(problem, u, s, config)
@@ -117,7 +109,7 @@ def _solve_double_projection(problem, config, u0, optimal):
         return recover_iterate(problem, u, g_next), info
 
     details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
-    return iterate_residual(problem, config, 1.0, u, update, details)
+    return iterate_residual(problem, config, rho, u, update, details)
 
 
 def solve_double_projection_basic(problem, config=None, u0=None):

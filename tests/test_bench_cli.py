@@ -48,6 +48,10 @@ def test_problem_spec_validation():
         ProblemSpec("obstacle", n=3)
     with pytest.raises(ProblemSpecError):
         ProblemSpec("custom")
+    with pytest.raises(ProblemSpecError, match="fixed size"):
+        ProblemSpec("example2", n=10)
+    with pytest.raises(ProblemSpecError, match="fixed size"):
+        ProblemSpec("custom", n=10, path="problem.py")
 
 
 def test_algorithm_registry_contents():
@@ -234,6 +238,13 @@ def test_cli_bench_flags_override_config_file(tmp_path):
     assert from_file.exit_code == 2
     overridden = runner.invoke(cli, ["bench", "--config", str(path), "--alg", "projection"])
     assert overridden.exit_code == 0
+
+
+def test_cli_bench_rejects_n_for_fixed_size_problem():
+    runner = CliRunner()
+    result = runner.invoke(cli, ["bench", "--problem", "example2", "--n", "10,20", "--alg", "projection"])
+    assert result.exit_code == 1
+    assert "fixed size" in all_output(result)
 
 
 def test_cli_bench_multi_size_rows():

@@ -212,6 +212,13 @@ def test_solve_config_validation():
         SolveConfig(gamma=0.0)
     with pytest.raises(ValueError):
         SolveConfig(alpha=1.0)
+    with pytest.raises(ValueError, match="inner_max_iters"):
+        SolveConfig(inner_max_iters=0)
+    with pytest.raises(ValueError, match="inner_tol"):
+        SolveConfig(inner_tol=0.0)
+    with pytest.raises(ValueError, match="inner_tol"):
+        SolveConfig(inner_tol=-1.0)
+    SolveConfig(inner_max_iters=1, inner_tol=1e-16)
 
 
 def test_alpha_schedule_resolution():

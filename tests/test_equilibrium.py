@@ -116,6 +116,30 @@ def test_eq_inertial_inner_loop_error_names_rho(example4_10):
         solve_eq_inertial(wrap_equilibrium(example4_10), SolveConfig())
 
 
+def _counted_T(problem):
+    calls = [0]
+
+    def T(u):
+        calls[0] += 1
+        return problem.T(u)
+
+    return calls, T
+
+
+@pytest.mark.parametrize("solver, wrap, evals_per_iter", [
+    (solve_eq_predictor_corrector, "equilibrium", 2),
+    (solve_varlike, "varlike", 1),
+])
+def test_oracle_solvers_default_rho_to_one_without_a_probe(example4_10, solver, wrap, evals_per_iter):
+    calls, T = _counted_T(example4_10)
+    counted = GviProblem(dim=example4_10.dim, T=T, K=example4_10.K)
+    problem = wrap_equilibrium(counted) if wrap == "equilibrium" else wrap_varlike(counted)
+    report = solver(problem, SolveConfig())
+    assert report.details["rho"] == 1.0
+    assert calls[0] == evals_per_iter * report.iterations
+    assert solver(problem, SolveConfig(rho=0.3)).details["rho"] == 0.3
+
+
 def test_eq_inertial_rejects_weight_outside_unit_interval(example3_10):
     ep = wrap_equilibrium(example3_10)
     with pytest.raises(ValueError):
@@ -211,12 +235,14 @@ def test_diagonal_kernel_oracle_validation():
 
 
 def test_higher_order_degenerates_to_two_projection_steps(example4_5):
-    hp = HigherOrderProblem(base=example4_5, p=2.0, mu=0.0)
+    # With nu = 0 every half-step is a projection: in closed form for p = 2,
+    # and as the fixed point of the projected-gradient loop for p = 3.
     cfg = SolveConfig(rho=0.5, tol=1e-16, max_iters=10)
-    ho_run = solve_higher_order(hp, cfg)
     ts_run = solve_three_step(example4_5, SolveConfig(rho=0.5, mu_step=0.0, beta_step=0.5,
                                                       tol=1e-16, max_iters=10))
-    np.testing.assert_allclose(ho_run.solution, ts_run.solution, rtol=0.0, atol=1e-8)
+    for p in (2.0, 3.0):
+        ho_run = solve_higher_order(HigherOrderProblem(base=example4_5, p=p, mu=0.0), cfg)
+        np.testing.assert_allclose(ho_run.solution, ts_run.solution, rtol=0.0, atol=1e-8)
 
 
 def test_higher_order_cubic_penalty_converges_with_margin(example4_5):
