@@ -196,7 +196,10 @@ def project_intersection(base, a, b, z, anchor=None):
     of slope -phi' = the sum of a_i^2 over the free coordinates of a Box or
     NonnegOrthant, or of (a_i - mean_S a)^2 over the support S in a
     Simplex.  A step that leaves the sign bracket bisects it, or jumps to
-    the outermost kink while the bracket is still open.
+    the outermost kink while the bracket is still open; that far end is
+    computed only then.  A Simplex trial first tries the support of the
+    last sorted projection, and keeps the point when exactly that support
+    stays positive (the projection's KKT signs); otherwise it sorts.
     With an anchor the hyperplane is ``{x : a.(x - anchor) = b}`` and phi
     is evaluated in that form, so a small offset b is not rounded away
     against a large a.anchor.
@@ -223,7 +226,8 @@ def project_intersection(base, a, b, z, anchor=None):
         inside the bracket (then the end with the smaller |phi|): never on
         the size of phi, because a tiny |phi| does not imply a tiny step
         when the normal is nearly orthogonal to the active face.  Over a
-        Box or NonnegOrthant no ``project`` call is made.
+        Box or NonnegOrthant no ``project`` call is made; over a Simplex
+        only the trials that leave the last support call it.
 
     Raises
     ------
@@ -263,38 +267,44 @@ def _cut_box(lo, hi, a, b, z, ref):
     # Only those coordinates enter the range, so no 0*inf arises.
     nz = a != 0
     an = a[nz]
-    ends = np.stack((an * (lo - ref)[nz], an * (hi - ref)[nz]))
-    low_terms, high_terms = ends.min(axis=0), ends.max(axis=0)
+    to_lo, to_hi = an * (lo - ref)[nz], an * (hi - ref)[nz]
+    low_terms, high_terms = np.minimum(to_lo, to_hi), np.maximum(to_lo, to_hi)
     low, high = float(np.sum(low_terms)), float(np.sum(high_terms))
     if not low < b < high:
         up, terms = (a, high_terms) if b >= high else (-a, low_terms)
         face = np.where(up > 0, hi, np.where(up < 0, lo, np.clip(z, lo, hi)))
         return _on_face(face, b, float(np.sum(terms)), float(np.sum(np.abs(terms))))
 
-    cuts = np.stack(((z - hi)[nz] / an, (z - lo)[nz] / an))
-    kinks = np.concatenate((cuts.min(axis=0), cuts.max(axis=0)))
-    m, squares = an.size, an * an
-    finite = kinks[np.isfinite(kinks)]
-    far = (float(finite.min(initial=0.0)), float(finite.max(initial=0.0)))
+    at_hi, at_lo = (z - hi)[nz] / an, (z - lo)[nz] / an
+    first, last = np.minimum(at_hi, at_lo), np.maximum(at_hi, at_lo)
+    squares = an * an
 
     def phi(theta):
-        x = np.clip(z - theta * a, lo, hi)
+        # np.minimum(np.maximum(.)) is np.clip for lo <= hi, without its wrapper.
+        x = np.minimum(np.maximum(z - theta * a, lo), hi)
         return float(a @ (x - ref)) - b, x
 
-    # The pattern is which kinks lie behind theta on the given side; a
-    # coordinate is free there if it has passed its first kink, not its last.
+    # The pattern is how many of its two kinks lie behind theta on the given
+    # side; a coordinate is free there if it has passed exactly one.
     def piece(theta, x, right):
-        past = kinks <= theta if right else kinks < theta
-        return float(squares @ (past[:m] & ~past[m:])), past
+        past = (first <= theta, last <= theta) if right else (first < theta, last < theta)
+        behind = np.add(*past, dtype=np.int8)
+        return float(squares @ (behind == 1)), behind
+
+    def far(right):
+        kinks = np.concatenate((first, last))
+        finite = kinks[np.isfinite(kinks)]
+        return float(finite.max(initial=0.0) if right else finite.min(initial=0.0))
 
     return _newton_cut(phi, piece, far)
 
 
 def _cut_simplex(base, a, b, z, ref):
     total, shift = base.total, float(a @ ref)
-    top, bottom = total * float(a.max()) - shift, total * float(a.min()) - shift
+    a_max, a_min = float(a.max()), float(a.min())
+    top, bottom = total * a_max - shift, total * a_min - shift
     if not bottom < b < top:
-        extreme = float(a.max() if b >= top else a.min())
+        extreme = a_max if b >= top else a_min
         x = np.zeros_like(z)
         x[a == extreme] = project(base, z[a == extreme])
         size = total * abs(extreme) + float(np.abs(a) @ np.abs(ref))
@@ -303,29 +313,47 @@ def _cut_simplex(base, a, b, z, ref):
     # On the simplex a.x = (a - c).x + c*total, and shifting a by a multiple
     # of the ones vector leaves x(theta) unchanged; the search runs on the
     # centred normal so that a normal nearly parallel to ones keeps its digits.
-    c = 0.5 * (float(a.max()) + float(a.min()))
+    c = 0.5 * (a_max + a_min)
     w = a - c
     offset = b - c * (total - float(np.sum(ref)))
+    known = None  # (support S, |S|, sum_S z, sum_S w, slope on S) of the last sort
+    latest = None  # the point of the last trial, which lies on the known support
 
+    # On a support S, x_i = z_i - theta*w_i - tau(theta) with the shift tau
+    # = (sum_S z - theta*sum_S w - total)/|S| keeping the total, so x_i moves
+    # at mean_S(w) - w_i.  A trial first tries the last support: x is the
+    # projection exactly when its positive coordinates are S (the KKT
+    # conditions).  Otherwise the sort-based projection finds the support.
     def phi(theta):
-        x = project(base, z - theta * w)
+        nonlocal known, latest
+        v = z - theta * w
+        if known is not None:
+            support, size, z_sum, w_sum, _ = known
+            x = np.maximum(v - (z_sum - theta * w_sum - total) / size, 0.0)
+        if known is None or not np.array_equal(x > 0, support):
+            x = project(base, v)
+            support = x > 0
+            ws = w[support]
+            d = ws - np.mean(ws)
+            known = (support, ws.size, float(np.sum(z[support])), float(np.sum(ws)), float(d @ d))
+        latest = x
         return float(w @ (x - ref)) - offset, x
 
-    # On a piece with support S, x_i = z_i - theta*w_i - tau(theta) with the
-    # shift tau keeping the total, so x_i moves at mean_S(w) - w_i.
+    # _newton_cut calls piece only on the x that phi returned last, whose
+    # support and slope are the known ones.
     def piece(theta, x, right):
-        support = x > 0
-        d = w[support] - np.mean(w[support])
-        return float(d @ d), support
+        assert x is latest, "piece is asked about a point other than the last trial"
+        return known[4], known[0]
 
     # Once theta * (a_max - a_i) exceeds the gap z_max - z_i by the total,
     # coordinate i drops out of the support: beyond these ends x(theta)
     # lies on the face where a.x is largest (low theta) or smallest.
-    def support_end(extreme):
+    def far(right):
+        extreme = a_min if right else a_max
         on = a == extreme
-        return (np.max(z[on]) - z[~on] - total) / (extreme - a[~on])
+        ends = (np.max(z[on]) - z[~on] - total) / (extreme - a[~on])
+        return float(np.max(ends) if right else np.min(ends))
 
-    far = (float(np.min(support_end(a.max()))), float(np.max(support_end(a.min()))))
     return _newton_cut(phi, piece, far)
 
 
@@ -333,9 +361,10 @@ def _newton_cut(phi, piece, far):
     # The root of phi, nonincreasing and piecewise linear, by Newton steps
     # from theta = 0.  phi(theta) gives (phi, x(theta)); piece(theta, x,
     # right) gives the slope -phi' and active pattern of the linear piece on
-    # that side of theta; phi has no kink outside far = (left, right).  Each
-    # trial lies strictly inside the sign bracket (lo, hi) and replaces one
-    # end, leaving fewer floats inside, so the search ends without a cap.
+    # that side of theta; phi has no kink beyond far(right) on that side,
+    # which is only asked for while the bracket is open there.  Each trial
+    # lies strictly inside the sign bracket (lo, hi) and replaces one end,
+    # leaving fewer floats inside, so the search ends without a cap.
     theta, lo, hi, ends, run = 0.0, -np.inf, np.inf, {}, None
     while True:
         f, x = phi(theta)
@@ -358,7 +387,7 @@ def _newton_cut(phi, piece, far):
             # Off the bracket: bisect it once both ends are known, else jump
             # to the far end on the root's side.
             run = None
-            step = 0.5 * lo + 0.5 * hi if math.isfinite(lo) and math.isfinite(hi) else far[right]
+            step = 0.5 * lo + 0.5 * hi if math.isfinite(lo) and math.isfinite(hi) else far(right)
             if not lo < step < hi:
                 break  # phi is flat on the root's side: b is within rounding of a face
         theta = min(max(step, inner_lo), inner_hi)

@@ -89,6 +89,10 @@ def _oracle_cases():
         at_face = k % 5 == 0 and np.isfinite(high)
         b = high if at_face else float(a @ (v - ref))
         cases.append((base, a, b, z, anchor))
+    # Box(0, 1) keeps bounds of shape (1,) that stand for every coordinate;
+    # dropping the coordinate with a_i = 0 must not index them at full length.
+    a, z = np.array([1.0, 0.0, 2.0]), np.array([0.3, 1.5, -0.2])
+    cases += [(Box(0.0, 1.0), a, 1.0, z, None), (Box(0.0, 1.0), a, -3.0, z, np.array([0.5, -1.0, 2.0]))]
     return cases
 
 
@@ -137,9 +141,9 @@ def test_large_cut_projection_meets_the_kkt_conditions(n, kind, anchored):
     assert kkt_cut_residual(base, a, b, z, anchor, x) > 1e-12
 
 
-def test_simplex_cut_makes_few_base_projections_on_the_hyperplane_workload(monkeypatch):
-    # The cut set of the benchmark's hyperplane workload: the unit simplex
-    # cut by a normal a ~ U[0.5, 1.5] at b = mean(a), projecting z ~ U[0, 2/n].
+@pytest.fixture
+def base_projections(monkeypatch):
+    """A one-entry list that counts the calls of ``gvikit.sets.project``."""
     calls = [0]
     project = gvikit.sets.project
 
@@ -148,13 +152,33 @@ def test_simplex_cut_makes_few_base_projections_on_the_hyperplane_workload(monke
         return project(cset, z)
 
     monkeypatch.setattr(gvikit.sets, "project", counted_project)
+    return calls
+
+
+def test_simplex_cut_makes_few_base_projections_on_the_hyperplane_workload(base_projections):
+    # The cut set of the benchmark's hyperplane workload: the unit simplex
+    # cut by a normal a ~ U[0.5, 1.5] at b = mean(a), projecting z ~ U[0, 2/n].
     rng, n, counts = np.random.default_rng(4000), 4000, []
     for _ in range(200):
         a, z = rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 2.0 / n, n)
-        calls[0] = 0
+        base_projections[0] = 0
         project_intersection(Simplex(1.0), a, float(np.mean(a)), z)
-        counts.append(calls[0])
-    assert max(counts) <= 6
+        counts.append(base_projections[0])
+    assert max(counts) <= 3
+
+
+@pytest.mark.parametrize(
+    ("b", "expected_sorts"),
+    [(2.0, 1),  # the root keeps every coordinate positive: one support throughout
+     (1.3, 2)],  # the root zeroes the last coordinate: the first step leaves the support
+)
+def test_simplex_cut_trial_reuses_the_support_only_where_it_holds(b, expected_sorts, base_projections):
+    # A trial first tries the support of the last sorted projection and keeps
+    # it only when exactly that support stays positive; otherwise it sorts.
+    base, a, z = Simplex(1.0), np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.3, 0.4])
+    x = project_intersection(base, a, b, z)
+    np.testing.assert_allclose(x, kkt_cut_bruteforce(base, a, b, z, None), rtol=0, atol=1e-10)
+    assert base_projections[0] == expected_sorts
 
 
 # Entries on a grid of 1e-3 keep the ratios inside one normal bounded, so
