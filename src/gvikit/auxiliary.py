@@ -83,7 +83,7 @@ def solve_three_step(problem, config=None, u0=None):
         gy = g_value(problem, y)
         w = recover_iterate(problem, y, project(problem.K, gy - beta * effective_T(problem, y)))
         gw = g_value(problem, w)
-        return recover_iterate(problem, w, project(problem.K, gw - rho * effective_T(problem, w))), None
+        return recover_iterate(problem, w, project(problem.K, gw - rho * effective_T(problem, w))), None, None
 
     details = {"algorithm": "three-step", "mu_step": mu, "beta_step": beta}
     return iterate_residual(problem, config, rho, u, update, details)

@@ -9,6 +9,7 @@ Solvers consume a :class:`SolveConfig` and produce a :class:`SolveReport`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -96,7 +97,7 @@ def eval_operator(problem, name, u):
             return np.asarray(u, dtype=float)
         raise CapabilityError("g_inverse required but not supplied")
     out = np.atleast_1d(np.asarray(fn(u), dtype=float))
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericDomainError(name)
     return out
 
@@ -279,13 +280,17 @@ class Stage(NamedTuple):
 
     def norm(self):
         """Euclidean norm of the residual."""
-        return float(np.linalg.norm(self.r))
+        return vector_norm(self.r)
 
 
-def projection_stage(problem, u, rho):
-    """Evaluate g, T and one projection at u; see :class:`Stage`."""
+def projection_stage(problem, u, rho, t=None):
+    """Evaluate g, T and one projection at u; see :class:`Stage`.
+
+    ``t``, when given, is T(u) already known to the caller.
+    """
     gu = g_value(problem, u)
-    t = effective_T(problem, u)
+    if t is None:
+        t = effective_T(problem, u)
     return Stage(gu, t, project(problem.K, gu - rho * t))
 
 
@@ -474,30 +479,47 @@ def known_solution_lyapunov(problem):
     return lyapunov
 
 
+def vector_norm(x):
+    """Euclidean norm of a real 1-d array: np.linalg.norm's value, without its wrapper."""
+    return math.sqrt(x @ x)
+
+
 def check_divergence(u):
     """Raise when an iterate leaves the trust region of the solvers."""
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise NumericDomainError("iterate")
-    if float(np.linalg.norm(u)) > _DIVERGENCE_LIMIT:
+    if vector_norm(u) > _DIVERGENCE_LIMIT:
         raise DivergenceError(u)
 
 
 def inner_fixed_point(fn, w, config, tag, k, w_next=None):
-    """Iterate w <- fn(w) until a step is small relative to the first one.
+    """Approximate a fixed point of fn by safeguarded depth-one Anderson trials.
 
-    The loop takes outer step k of an implicit scheme and stops once
+    The loop takes outer step k of an implicit scheme.  Trial j has the
+    residual f_j = fn(w_j) - w_j, and the loop stops once
 
-        ||w_{j+1} - w_j|| <= max(inner_tol, kappa_k * ||w_1 - w_0||),
+        ||f_J|| <= max(inner_tol, kappa_k * ||f_0||),
         kappa_k = _INNER_KAPPA / (k + 1)^2,
 
     the relative-error rule of inexact proximal-point methods
     (Rockafellar, SIAM J. Control Optim. 14, 1976; Solodov and Svaiter,
-    Set-Valued Anal. 7, 1999).  The first step is as large as the outer
-    move; for an inner map of modulus q < 1 the returned value lies
-    within q/(1-q) times the last step of the exact fixed point, so the
-    inner error is of order kappa_k times the outer move.  kappa_k is
-    summable along the run, as Rockafellar's criteria require.  At a
-    fixed point of fn the first step is 0 and one evaluation is made.
+    Set-Valued Anal. 7, 1999).  ||f_0|| is the first plain step
+    ||w_1 - w_0||, as large as the outer move.  The next trial is the
+    depth-one (type-II) Anderson point (Walker and Ni, SIAM J. Numer.
+    Anal. 49, 2011)
+
+        w_{j+1} = (1 - gamma_j) fn(w_j) + gamma_j fn(w_{j-1}),
+        gamma_j = <f_j, f_j - f_{j-1}> / ||f_j - f_{j-1}||^2,
+
+    except that the first trial is plain, w_1 = fn(w_0), and once a
+    residual fails to decrease every later trial of the loop is plain,
+    w_{j+1} = fn(w_j) (the safeguard of Zhang, O'Donoghue and Boyd, SIAM
+    J. Optim. 30, 2020).  The loop returns fn(w_J).  For an inner map of
+    modulus q < 1 that value lies within q/(1-q) ||f_J|| of the exact
+    fixed point, whatever the trial w_J, so the inner error is of order
+    kappa_k times the outer move.  kappa_k is summable along the run, as
+    Rockafellar's criteria require.  At a fixed point of fn the first
+    residual is 0 and one evaluation is made.
 
     ``w_next``, when given, is fn(w) already known to the caller; it
     counts as the first evaluation.
@@ -505,30 +527,40 @@ def inner_fixed_point(fn, w, config, tag, k, w_next=None):
     Returns
     -------
     (ndarray, int)
-        The last value and the number of evaluations of fn.
+        fn(w_J) and the number of evaluations of fn.
 
     Raises
     ------
     InnerLoopError
         Tagged with ``tag`` after inner_max_iters evaluations; the
-        message gives the last step ratio.
+        message gives the last ratio of residual norms, which is the step
+        ratio of the plain iteration.
     """
-    stop = prev = step = None
+    stop = value = res = norm = None
+    accelerate = True
     for inner in range(1, config.inner_max_iters + 1):
-        if w_next is None:
-            w_next = fn(w)
-        prev, step = step, float(np.linalg.norm(w_next - w))
+        prev_value, prev_res, prev_norm = value, res, norm
+        value = fn(w) if w_next is None else w_next
+        w_next = None
+        res = value - w
+        norm = vector_norm(res)
         if stop is None:
-            stop = max(config.inner_tol, _INNER_KAPPA / (k + 1) ** 2 * step)
-        if step <= stop:
-            return w_next, inner
-        w, w_next = w_next, None
-    ratio = step / prev if prev else float("nan")
+            stop = max(config.inner_tol, _INNER_KAPPA / (k + 1) ** 2 * norm)
+        if norm <= stop:
+            return value, inner
+        if prev_norm is not None and norm >= prev_norm:
+            accelerate = False
+        w = value
+        if accelerate and prev_res is not None:
+            # A decreasing residual makes the difference nonzero.
+            diff = res - prev_res
+            w = value - (res @ diff) / (diff @ diff) * (value - prev_value)
+    ratio = norm / prev_norm if prev_norm else float("nan")
     raise InnerLoopError(
         tag,
         f"inner fixed-point loop for {tag!r} did not converge in {config.inner_max_iters} evaluations;"
-        f" its last step ratio ||w_(j+1) - w_j|| / ||w_j - w_(j-1)|| is {ratio:.3g}.  A ratio near or"
-        " above 1 means the inner map does not contract at this rho (rho*L >= 1): use a smaller rho.",
+        f" its last step ratio ||F(w_j) - w_j|| / ||F(w_(j-1)) - w_(j-1)|| is {ratio:.3g}.  A ratio near"
+        " or above 1 means the inner map does not contract at this rho (rho*L >= 1): use a smaller rho.",
     )
 
 
@@ -584,18 +616,19 @@ def iterate(u, norm, step, config, details, info=None, lyapunov=None):
 def iterate_residual(problem, config, rho, u, update, details, lyapunov=None):
     """Run :func:`iterate` on the projection residual at rho.
 
-    ``update(u, s, k) -> (u_next, info)`` takes step k from the stage s
-    at u; info may instead be a callable of the stages at u and u_next.
-    The stage at each new iterate serves both the stop test and the next
-    step.  The report details gain ``rho``.
+    ``update(u, s, k) -> (u_next, info, t_next)`` takes step k from the
+    stage s at u; info may instead be a callable of the stages at u and
+    u_next, and t_next is T(u_next) when the step already evaluated it,
+    else None.  The stage at each new iterate serves both the stop test
+    and the next step.  The report details gain ``rho``.
     """
     s = projection_stage(problem, u, rho)
 
     def step(u, k):
         nonlocal s
-        u_next, info = update(u, s, k)
+        u_next, info, t_next = update(u, s, k)
         check_divergence(u_next)
-        prev, s = s, projection_stage(problem, u_next, rho)
+        prev, s = s, projection_stage(problem, u_next, rho, t_next)
         return u_next, s.norm(), info(prev, s) if callable(info) else info
 
     return iterate(u, s.norm(), step, config, dict(details, rho=rho), lyapunov=lyapunov)

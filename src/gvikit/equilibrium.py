@@ -27,6 +27,7 @@ from .core import (
     known_solution_lyapunov,
     prepare_solve,
     recover_iterate,
+    vector_norm,
 )
 from .errors import CapabilityError, InnerLoopError, OracleContractError, UnsupportedSetError
 from .sets import Box, NonnegOrthant, WholeSpace, distance, project
@@ -189,7 +190,7 @@ def solve_eq_predictor_corrector(problem, config=None, u0=None):
         g_next = _checked_oracle_value(problem.K, problem.aux_oracle(w, gw, rho), "equilibrium")
         u_next = recover_iterate(problem, w, g_next)
         check_divergence(u_next)
-        return u_next, float(np.linalg.norm(g_next - gu)), None
+        return u_next, vector_norm(g_next - gu), None
 
     details = {"algorithm": "eq-predictor-corrector", "rho": rho, "beta_step": beta}
     return iterate(u, np.inf, step, config, details)
@@ -232,15 +233,17 @@ def solve_eq_inertial(problem, config=None, u0=None):
             gu_prev = gu
         center = gu + alpha_n * (gu - gu_prev)
 
+        # Composed with P_K, which keeps its fixed points: the oracle sees only
+        # anchors with g-values in K, whatever the accelerated trial w.
         def proximal(w):
-            anchor = recover_iterate(problem, u, w)
+            anchor = recover_iterate(problem, u, project(problem.K, w))
             return _checked_oracle_value(problem.K, problem.aux_oracle(anchor, center, rho), "equilibrium")
 
         w, inner = inner_fixed_point(proximal, gu.copy(), config, "eq-inertial", k)
         gu_prev = gu
         u_next = recover_iterate(problem, u, w)
         check_divergence(u_next)
-        return u_next, float(np.linalg.norm(w - gu)), {"alpha_n": alpha_n, "inner_iters": inner}
+        return u_next, vector_norm(w - gu), {"alpha_n": alpha_n, "inner_iters": inner}
 
     return iterate(u, np.inf, step, config, {"algorithm": "eq-inertial", "rho": rho})
 
@@ -286,14 +289,14 @@ def _power_subproblem(problem, anchor, center, rho, config):
         return float(
             rho * (Ta @ v)
             + 0.5 * float((v - center) @ (v - center))
-            + (nu / p) * float(np.linalg.norm(v - anchor)) ** p
+            + (nu / p) * vector_norm(v - anchor) ** p
         )
 
     v = project(base.K, np.asarray(center, dtype=float))
     f_v = objective(v)
     for _ in range(config.inner_max_iters):
         shift = v - anchor
-        s = float(np.linalg.norm(shift))
+        s = vector_norm(shift)
         grad = rho * Ta + (v - center)
         if s > 0:
             grad = grad + nu * s ** (p - 2.0) * shift
@@ -304,7 +307,7 @@ def _power_subproblem(problem, anchor, center, rho, config):
             if f_next <= f_v:
                 break
             tau *= 0.5
-        step = float(np.linalg.norm(v_next - v))
+        step = vector_norm(v_next - v)
         v, f_v = v_next, f_next
         if step <= config.inner_tol:
             return v
@@ -352,12 +355,14 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
             y = _power_subproblem(problem, u, u, rho, config)
             u_next = _power_subproblem(problem, y, y, rho, config)
         else:
+            # Composed with P_K, which keeps its fixed points: T is evaluated
+            # only in K, whatever the accelerated trial w.
             u_next, _ = inner_fixed_point(
-                lambda w: _power_subproblem(problem, w, u, rho, config), u.copy(), config,
+                lambda w: _power_subproblem(problem, project(base.K, w), u, rho, config), u.copy(), config,
                 "higher-order implicit step", k,
             )
         check_divergence(u_next)
-        step_sq = float(np.linalg.norm(u_next - u)) ** 2
+        step_sq = vector_norm(u_next - u) ** 2
         return u_next, np.sqrt(step_sq), {"step_sq": step_sq}
 
     details = {"algorithm": "higher-order", "mode": mode, "rho": rho, "p": problem.p, "nu": problem.nu}

@@ -121,10 +121,10 @@ def _project_simplex(z, total):
     # exactly in floating point; the naive u - (css - total)/k form loses
     # it to cancellation when the entries are huge.
     u = np.sort(z)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, z.size + 1)
+    css = u.cumsum()
+    k = np.arange(1.0, z.size + 1)
     feasible = (u * k - css) + total > 0
-    idx = np.nonzero(feasible)[0][-1]
+    idx = feasible.nonzero()[0][-1]
     theta = (css[idx] - total) / (idx + 1.0)
     return np.maximum(z - theta, 0.0)
 
@@ -150,7 +150,11 @@ def project(cset, z):
     if isinstance(cset, NonnegOrthant):
         return np.maximum(z, 0.0)
     if isinstance(cset, Box):
-        return np.clip(z, cset.lo, cset.hi)
+        # In place: the values of np.clip for lo <= hi, without its wrapper or
+        # a second temporary.
+        x = np.maximum(z, cset.lo)
+        np.minimum(x, cset.hi, out=x)
+        return x
     if isinstance(cset, Simplex):
         return _project_simplex(z, cset.total)
     if isinstance(cset, Halfspace):
@@ -286,17 +290,19 @@ def _cut_box(lo, hi, a, b, z, ref):
 
     # The pattern is how many of its two kinks lie behind theta on the given
     # side; a coordinate is free there if it has passed exactly one.
-    def piece(theta, x, right):
+    def pattern(theta, x, right):
         past = (first <= theta, last <= theta) if right else (first < theta, last < theta)
-        behind = np.add(*past, dtype=np.int8)
-        return float(squares @ (behind == 1)), behind
+        return np.add(*past, dtype=np.int8)
+
+    def slope(behind):
+        return float(squares @ (behind == 1))
 
     def far(right):
         kinks = np.concatenate((first, last))
         finite = kinks[np.isfinite(kinks)]
         return float(finite.max(initial=0.0) if right else finite.min(initial=0.0))
 
-    return _newton_cut(phi, piece, far)
+    return _newton_cut(phi, pattern, slope, far)
 
 
 def _cut_simplex(base, a, b, z, ref):
@@ -339,11 +345,15 @@ def _cut_simplex(base, a, b, z, ref):
         latest = x
         return float(w @ (x - ref)) - offset, x
 
-    # _newton_cut calls piece only on the x that phi returned last, whose
-    # support and slope are the known ones.
-    def piece(theta, x, right):
-        assert x is latest, "piece is asked about a point other than the last trial"
-        return known[4], known[0]
+    # _newton_cut asks for the pattern only of the x that phi returned last,
+    # whose support and slope are the known ones.
+    def pattern(theta, x, right):
+        assert x is latest, "pattern is asked about a point other than the last trial"
+        return known[0]
+
+    def slope(support):
+        assert support is known[0], "slope is asked about a support other than the last one"
+        return known[4]
 
     # Once theta * (a_max - a_i) exceeds the gap z_max - z_i by the total,
     # coordinate i drops out of the support: beyond these ends x(theta)
@@ -354,17 +364,18 @@ def _cut_simplex(base, a, b, z, ref):
         ends = (np.max(z[on]) - z[~on] - total) / (extreme - a[~on])
         return float(np.max(ends) if right else np.min(ends))
 
-    return _newton_cut(phi, piece, far)
+    return _newton_cut(phi, pattern, slope, far)
 
 
-def _newton_cut(phi, piece, far):
+def _newton_cut(phi, pattern, slope, far):
     # The root of phi, nonincreasing and piecewise linear, by Newton steps
-    # from theta = 0.  phi(theta) gives (phi, x(theta)); piece(theta, x,
-    # right) gives the slope -phi' and active pattern of the linear piece on
-    # that side of theta; phi has no kink beyond far(right) on that side,
-    # which is only asked for while the bracket is open there.  Each trial
-    # lies strictly inside the sign bracket (lo, hi) and replaces one end,
-    # leaving fewer floats inside, so the search ends without a cap.
+    # from theta = 0.  phi(theta) gives (phi, x(theta)); pattern(theta, x,
+    # right) gives the active pattern of the linear piece on that side of
+    # theta, and slope(pattern) its slope -phi'; phi has no kink beyond
+    # far(right) on that side, which is only asked for while the bracket is
+    # open there.  Each trial lies strictly inside the sign bracket (lo, hi)
+    # and replaces one end, leaving fewer floats inside, so the search ends
+    # without a cap.
     theta, lo, hi, ends, run = 0.0, -np.inf, np.inf, {}, None
     while True:
         f, x = phi(theta)
@@ -373,16 +384,17 @@ def _newton_cut(phi, piece, far):
         right = f > 0
         lo, hi = (theta, hi) if right else (lo, theta)
         ends[right] = (f, x)
-        if run is not None and np.array_equal(piece(theta, x, not run[2])[1], run[1]):
+        if run is not None and np.array_equal(pattern(theta, x, not run[2]), run[1]):
             # The step stayed on its piece, so it missed the root only by
             # the rounding of phi where it started; one more step sheds that.
             return phi(min(max(theta + f / run[0], lo), hi))[1]
         inner_lo, inner_hi = math.nextafter(lo, hi), math.nextafter(hi, lo)
         if inner_lo > inner_hi:
             break
-        slope, pattern = piece(theta, x, right)
-        run = (slope, pattern, right)
-        step = theta + f / slope if slope > 0 else np.nan
+        active = pattern(theta, x, right)
+        rate = slope(active)
+        run = (rate, active, right)
+        step = theta + f / rate if rate > 0 else np.nan
         if not lo < step < hi:
             # Off the bracket: bisect it once both ends are known, else jump
             # to the far end on the root's side.

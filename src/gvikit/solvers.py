@@ -7,6 +7,8 @@ where the operator is evaluated and how implicitly the step is taken.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
     effective_T,
     eval_operator,
@@ -46,7 +48,7 @@ def solve_projection(problem, config=None, u0=None):
     config, rho, u = prepare_solve(problem, config, u0)
 
     def update(u, s, k):
-        return u - s.gu + s.p, None
+        return u - s.gu + s.p, None, None
 
     return iterate_residual(problem, config, rho, u, update, {"algorithm": "projection"})
 
@@ -73,7 +75,7 @@ def solve_extragradient(problem, config=None, u0=None):
 
     def update(u, s, k):
         y = eval_operator(problem, "g_inverse", s.p)
-        return u - s.gu + project(problem.K, s.gu - rho * effective_T(problem, y)), None
+        return u - s.gu + project(problem.K, s.gu - rho * effective_T(problem, y)), None, None
 
     return iterate_residual(problem, config, rho, u, update, {"algorithm": "extragradient"})
 
@@ -108,7 +110,7 @@ def solve_two_step(problem, config=None, u0=None):
         gy = g_value(problem, y)
         mid = (1.0 - xi) * u + xi * y
         w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - rho * effective_T(problem, mid))
-        return u - s.gu + w, None
+        return u - s.gu + w, None, None
 
     details = {"algorithm": "two-step", "lam": lam, "xi": xi}
     return iterate_residual(problem, config, rho, u, update, details)
@@ -161,17 +163,22 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
     def update(u, s, k):
         gu = s.gu
         if variant == EXPLICIT_T:
-            return recover_iterate(problem, u, project(problem.K, gu - rho * damp * s.t)), _step_gsq
+            return recover_iterate(problem, u, project(problem.K, gu - rho * damp * s.t)), _step_gsq, None
+        last = None  # (w, T(u(w))) of the last trial
 
         def damped(w):
+            nonlocal last
             arg = w if variant == FULL_IMPLICIT else gu
-            point = recover_iterate(problem, u, w)
-            return (h * project(problem.K, arg - rho * effective_T(problem, point)) + gu) / (1.0 + h)
+            last = (w, effective_T(problem, recover_iterate(problem, u, w)))
+            return (h * project(problem.K, arg - rho * last[1]) + gu) / (1.0 + h)
 
         # The stage's projection gives the first inner value: at w = g(u) both
         # variants project g(u) - rho*T(u), exactly so for the identity g.
         w, _ = inner_fixed_point(damped, gu, config, variant, k, w_next=(h * s.p + gu) / (1.0 + h))
-        return recover_iterate(problem, u, w), _step_gsq
+        # A trial can land on the fixed point itself; then T at the returned
+        # point is already known.
+        t_next = last[1] if last is not None and np.array_equal(last[0], w) else None
+        return recover_iterate(problem, u, w), _step_gsq, t_next
 
     details = {"algorithm": "dynamical", "variant": variant, "h": h}
     return iterate_residual(problem, config, rho, u, update, details, lyapunov=known_solution_lyapunov(problem))

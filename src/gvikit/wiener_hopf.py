@@ -106,7 +106,7 @@ def _solve_double_projection(problem, config, u0, optimal):
             g_next = project(problem.K, moved)
         info["d"] = d
         info["step_g"] = g_next - s.gu
-        return recover_iterate(problem, u, g_next), info
+        return recover_iterate(problem, u, g_next), info, None
 
     details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
     return iterate_residual(problem, config, rho, u, update, details)
@@ -192,6 +192,6 @@ def solve_whe(problem, config=None, u0=None):
         shifted = s.gu - rho * s.t
         y = recover_iterate(problem, u, s.p)
         w = project(problem.K, s.p - rho * effective_T(problem, y) + s.p - shifted)
-        return recover_iterate(problem, u, (1.0 - a_n) * s.gu + a_n * w), {"alpha_n": a_n}
+        return recover_iterate(problem, u, (1.0 - a_n) * s.gu + a_n * w), {"alpha_n": a_n}, None
 
     return iterate_residual(problem, config, rho, u, update, {"algorithm": "whe"})

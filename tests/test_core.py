@@ -1,7 +1,5 @@
 """Problem types, residual maps, and shared configuration plumbing."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -275,14 +273,78 @@ def _counting(fn):
 
 @pytest.mark.parametrize("k", [0, 3])
 def test_inner_loop_stops_relative_to_its_first_step(k):
-    # From 0 the j-th step of w <- 0.5w + 1 is 0.5^(j-1), so the loop at
-    # outer step k stops at the first j with 0.5^(j-1) <= kappa / (k+1)^2.
-    kappa = gvikit.core._INNER_KAPPA / (k + 1) ** 2
-    expected = 1 + math.ceil(math.log(kappa) / math.log(0.5))
+    # On a 1-d affine map the Anderson trial is the secant step, which is
+    # exact: from 0, w <- 0.5w + 1 takes the plain trial 1, then 2.0 itself,
+    # whatever the stop rule of outer step k.
     fn, calls = _counting(lambda w: 0.5 * w + 1.0)
     w, evals = inner_fixed_point(fn, np.zeros(1), SolveConfig(), "affine", k)
+    assert evals == calls[0] == 3
+    assert w[0] == 2.0
+
+
+def _plain_evaluations(fn, w, stop_at):
+    # Plain iteration w <- fn(w) under the same stop rule, stop_at(first step).
+    stop, evals = None, 0
+    while True:
+        w_next = fn(w)
+        evals += 1
+        step = float(np.linalg.norm(w_next - w))
+        stop = stop_at(step) if stop is None else stop
+        if step <= stop:
+            return evals
+        w = w_next
+
+
+@pytest.mark.parametrize(("k", "expected"), [(0, 6), (3, 11)])
+def test_inner_loop_accelerates_a_non_normal_clipped_map(k, expected):
+    # w <- clip(Mw + c, 0, 1) with a Jordan-like M: no one secant step is
+    # exact, and the first coordinate sits at its bound at the fixed point.
+    M = np.array([[0.7, 0.2, 0.0], [0.0, 0.7, 0.2], [0.0, 0.0, 0.7]])
+    c = np.array([-0.3, 0.1, 0.25])
+    clipped = lambda w: np.clip(M @ w + c, 0.0, 1.0)
+    q = np.linalg.norm(M, 2)  # clip is nonexpansive, so the map's modulus is at most q
+    assert q < 1.0
+    star = np.zeros(3)
+    for _ in range(2000):
+        star = clipped(star)
+    assert star[0] == 0.0 and 0.0 < star[1] < 1.0 and 0.0 < star[2] < 1.0
+
+    def stop_at(first):
+        return max(SolveConfig().inner_tol, gvikit.core._INNER_KAPPA / (k + 1) ** 2 * first)
+
+    fn, calls = _counting(clipped)
+    w, evals = inner_fixed_point(fn, np.zeros(3), SolveConfig(), "clipped", k)
     assert evals == calls[0] == expected
-    assert 0.0 < 2.0 - w[0] <= kappa
+    assert evals < _plain_evaluations(clipped, np.zeros(3), stop_at)
+    # The bound of the stop test holds for the returned fn(w_J).
+    first = float(np.linalg.norm(clipped(np.zeros(3))))
+    assert np.linalg.norm(w - star) <= q / (1.0 - q) * stop_at(first)
+
+
+def test_inner_loop_finishes_on_plain_steps_once_a_residual_rises():
+    # A contraction of modulus 0.9 that bends at w = 1.2.  From 0 the plain
+    # trial is 1, and the secant of the lower piece predicts 2.0, where the
+    # residual 1.12 exceeds the 0.5 before it: every later trial is plain.
+    def bent(w):
+        return np.where(w <= 1.2, 0.5 * w + 1.0, 1.6 - 0.9 * (w - 1.2))
+
+    trials, values = [], []
+
+    def recorded(w):
+        trials.append(w.copy())
+        values.append(bent(w))
+        return values[-1]
+
+    w, evals = inner_fixed_point(recorded, np.zeros(1), SolveConfig(), "bent", 3)
+    assert trials[2][0] == 2.0
+    residuals = [abs(v[0] - t[0]) for t, v in zip(trials, values)]
+    assert residuals[2] > residuals[1]
+    assert evals == len(trials) > 6
+    for j in range(3, evals):
+        np.testing.assert_array_equal(trials[j], values[j - 1])
+    star = 2.68 / 1.9  # the fixed point on the upper piece
+    stop = gvikit.core._INNER_KAPPA / (3 + 1) ** 2 * 1.0
+    assert abs(w[0] - star) <= 0.9 / (1.0 - 0.9) * stop
 
 
 def test_inner_loop_at_a_fixed_point_evaluates_once():
