@@ -311,7 +311,12 @@ def _power_subproblem(problem, anchor, center, rho, config):
         v, f_v = v_next, f_next
         if step <= config.inner_tol:
             return v
-    raise InnerLoopError("higher-order subproblem")
+    raise InnerLoopError(
+        "higher-order subproblem",
+        f"projected-gradient loop for the 'higher-order subproblem' did not converge in"
+        f" {config.inner_max_iters} iterations (inner_max_iters); its last step ||v_(j+1) - v_j|| is"
+        f" {step:.3g}, above inner_tol = {config.inner_tol:.3g}.",
+    )
 
 
 def solve_higher_order(problem, config=None, u0=None, mode="two_step"):

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import AssemblyError, GridError
 
-_VARIANTS = ("corrected", "verbatim")
-
 
 @dataclass(frozen=True)
 class ObstacleProblem:
@@ -91,24 +89,19 @@ def _operator_values(problem, x, sigma, s=None):
     return t
 
 
-def assemble(problem, n, variant="corrected"):
+def assemble(problem, n):
     """Build the banded spline system for n interior unknowns.
 
     The interior rows carry the (-1, 3, -3, 1) stencil on s and
     (1, 5, 5, 1)h^3/12 weights on T; the boundary rows inject u'(a) and
     u'(b).  The s-dependent part of T on the contact interval is folded
-    into the matrix.  variant selects the right boundary row: "verbatim"
-    uses the printed (3, 10, 31) T-weights, "corrected" the exactly
-    derived (3, 16, 19, 6) weights (both sum to 44, agreeing on
-    constant T; they differ by the second difference of T at the right
-    end).
+    into the matrix.
 
     Parameters
     ----------
     problem : ObstacleProblem
     n : int
         Interior grid count; n + 1 must be divisible by 4.
-    variant : {"corrected", "verbatim"}
 
     Returns
     -------
@@ -119,8 +112,6 @@ def assemble(problem, n, variant="corrected"):
     GridError
         When n + 1 is not divisible by 4.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
     if n < 4 or (n + 1) % 4 != 0:
         raise GridError("n + 1 must be divisible by 4 (and n >= 4)")
     h, x = _grid(problem, n)
@@ -131,8 +122,9 @@ def assemble(problem, n, variant="corrected"):
     stencil = np.tile([-1.0, 3.0, -3.0, 1.0], (n, 1))
     weights = np.tile([1.0, 5.0, 5.0, 1.0], (n, 1))
     stencil[0], weights[0] = [0.0, 3.0, -4.0, 1.0], [0.0, 3.0, 4.0, 1.0]
-    stencil[-1] = [-3.0, 8.0, -5.0, 0.0]
-    weights[-1] = [3.0, 10.0, 31.0, 0.0] if variant == "verbatim" else [3.0, 16.0, 19.0, 6.0]
+    # The paper prints (3, 10, 31) as the right row's T-weights; (3, 16,
+    # 19, 6) is what the exact derivation of that closure gives.
+    stencil[-1], weights[-1] = [-3.0, 8.0, -5.0, 0.0], [3.0, 16.0, 19.0, 6.0]
     weights *= h**3 / 12.0
     nodes = np.arange(1, n + 1)[:, None] + np.arange(-2, 2)
     unknown = (nodes >= 1) & (nodes <= n)
@@ -155,7 +147,7 @@ def assemble(problem, n, variant="corrected"):
     return SplineSystem(n=n, h=h, matrix=ab, rhs=rhs)
 
 
-def solve_grid(problem, n, variant="corrected"):
+def solve_grid(problem, n):
     """Solve the spline system and return the full grid s_0 ... s_{n+1}.
 
     s_0 is the boundary value u(a); s_{n+1} follows from the interior
@@ -165,7 +157,6 @@ def solve_grid(problem, n, variant="corrected"):
     ----------
     problem : ObstacleProblem
     n : int
-    variant : {"corrected", "verbatim"}
 
     Returns
     -------
@@ -178,7 +169,7 @@ def solve_grid(problem, n, variant="corrected"):
     """
     from scipy.linalg import solve_banded
 
-    system = assemble(problem, n, variant)
+    system = assemble(problem, n)
     try:
         interior = solve_banded((2, 1), system.matrix, system.rhs)
     except np.linalg.LinAlgError as exc:
@@ -302,14 +293,13 @@ def benchmark_problem():
     )
 
 
-def max_error(problem, n, variant="corrected", exact=analytic_solution):
+def max_error(problem, n, exact=analytic_solution):
     """Max grid deviation of the spline solution from a reference.
 
     Parameters
     ----------
     problem : ObstacleProblem
     n : int
-    variant : {"corrected", "verbatim"}
     exact : callable
         Reference solution; defaults to the benchmark closed form.
 
@@ -317,7 +307,7 @@ def max_error(problem, n, variant="corrected", exact=analytic_solution):
     -------
     float
     """
-    s = solve_grid(problem, n, variant)
+    s = solve_grid(problem, n)
     _, x = _grid(problem, n)
     return float(np.max(np.abs(s - _at_nodes(exact, x))))
 

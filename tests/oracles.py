@@ -126,13 +126,12 @@ def _obstacle_nodes(problem, n):
     return h, sigma, p, t
 
 
-def loop_spline_system(problem, n, variant="corrected"):
+def loop_spline_system(problem, n):
     """Band matrix and rhs of the obstacle spline system, scattered one entry at a time."""
     h, sigma, p, t = _obstacle_nodes(problem, n)
-    right = [3.0, 10.0, 31.0] if variant == "verbatim" else [3.0, 16.0, 19.0, 6.0]
     rows = [([3.0, -4.0, 1.0], [3.0, 4.0, 1.0], 0, -2.0 * h * problem.beta1)]
     rows += [([-1.0, 3.0, -3.0, 1.0], [1.0, 5.0, 5.0, 1.0], i - 2, 0.0) for i in range(2, n)]
-    rows.append(([-3.0, 8.0, -5.0], right, n - 2, -2.0 * h * problem.beta2))
+    rows.append(([-3.0, 8.0, -5.0], [3.0, 16.0, 19.0, 6.0], n - 2, -2.0 * h * problem.beta2))
     ab, rhs = np.zeros((4, n)), np.zeros(n)
     for row, (coeffs, weights, j0, extra) in enumerate(rows):
         rhs[row] = extra

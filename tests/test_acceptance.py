@@ -151,12 +151,8 @@ def test_known_solution_convergence_basic_double_projection(example4_10):
 def test_obstacle_error_table_and_convergence_order():
     prob = benchmark_problem()
     sizes = (15, 31, 63, 127)
-    by_variant = {
-        variant: [max_error(prob, n, variant=variant) for n in sizes]
-        for variant in ("corrected", "verbatim")
-    }
-    assert any(0.5 * 1.23e-3 <= errs[0] <= 2.0 * 1.23e-3 for errs in by_variant.values())
-    errs = by_variant["corrected"]
+    errs = [max_error(prob, n) for n in sizes]
+    assert 0.5 * 1.23e-3 <= errs[0] <= 2.0 * 1.23e-3
     assert all(b < a for a, b in zip(errs, errs[1:]))
     for a, b in zip(errs, errs[1:]):
         assert 1.8 <= a / b <= 4.5

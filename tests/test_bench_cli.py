@@ -159,6 +159,27 @@ def test_run_suite_build_error_row_per_algorithm(tmp_path):
         assert row.error == f"custom module {str(path)!r} defines no build() function"
 
 
+def test_custom_module_build_runs_through_the_suite_and_the_command_line(tmp_path):
+    path = tmp_path / "shifted.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from gvikit import Box, GviProblem\n"
+        "\n"
+        "\n"
+        "def build():\n"
+        "    return GviProblem(dim=3, T=lambda u: u - np.array([0.5, 2.0, -1.0]), K=Box(0.0, 1.0))\n"
+    )
+    rows = run_suite([ProblemSpec("custom", path=str(path))], ["projection", "whe"], SolveConfig(rho=0.5))
+    assert [(r.problem, r.n, r.algorithm, r.iterations, r.converged, r.error) for r in rows] == [
+        ("custom", 3, "projection", 22, True, None),
+        ("custom", 3, "whe", 11, True, None),
+    ]
+    result = CliRunner().invoke(cli, ["bench", "--problem", "custom", "--path", str(path),
+                                      "--alg", "projection", "--rho", "0.5"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[1].startswith("custom,3,projection,22,true,")
+
+
 def test_emit_table_csv_and_nonconverged_marker():
     ok = BenchResult("example4", "projection", 5, 23, True, 1.5e-9, 0.0123)
     bad = BenchResult("example3", "extragradient", 10, 200, False, 1.62, 0.5)

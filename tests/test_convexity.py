@@ -16,6 +16,7 @@ from gvikit.convexity_lab import (
     check_parallelogram,
     default_t_grid,
     exp_convex_violation,
+    exp_gradient_violation,
     gradient_char_violation,
     hierarchy_violation,
     hos_convex_violation,
@@ -158,6 +159,27 @@ def test_exp_convex_witness_reproduces(registry):
     report = check_exp_convex(registry["erf-sqrt"], samples=50)
     u, v, t = report.witness
     assert abs(exp_convex_violation(registry["erf-sqrt"], u, v, t) - report.worst_violation) <= 1e-14
+
+
+@pytest.mark.parametrize("strong", [False, True])
+def test_exp_gradient_violation_reproduces_the_differential_witness(registry, strong):
+    # On sine the differential leg is the worst one, so the witness pair
+    # alone must give back the reported violation.
+    sine = registry["sine"]
+    report = check_exp_convex(sine, samples=50, strong=strong)
+    u, v, _ = report.witness
+    assert exp_gradient_violation(sine, u, v, strong=strong) == report.worst_violation
+    assert report.worst_violation == report.details["differential"] > 0.0
+
+
+def test_gradient_falls_back_to_central_differences(registry):
+    exact = registry["quadratic"]
+    differenced = replace(exact, grad_F=None)
+    y = np.array([0.3, -1.2, 1.9])
+    np.testing.assert_allclose(differenced.gradient(y), exact.gradient(y), rtol=0.0, atol=1e-7)
+    report = check_gradient_char(differenced, seed=3)
+    assert report.passed and report.checked_count == 200
+    assert report.worst_violation <= 1e-8
 
 
 def test_reports_are_deterministic_per_seed(registry):

@@ -6,8 +6,11 @@ import pytest
 from oracles import fd_gradient
 
 from gvikit import (
+    ALGORITHMS,
     GviProblem,
+    ProblemSpec,
     SolveConfig,
+    build_problem,
     complementarity_gap,
     default_rho,
     estimate_lipschitz,
@@ -121,6 +124,35 @@ def test_quasi_to_general_linear_shift_matches_grid_search():
     k = np.unravel_index(np.argmin(res), res.shape)
     best = np.array([axis[k[0]], axis[k[1]]])
     assert np.max(np.abs(report.solution - best)) <= 1e-3
+
+
+def _example3_under_a_g_without_inverse(n=10):
+    # g(u) = 0.9u without g_inverse.  example3's solution lies inside the
+    # box, so it also solves this problem.
+    example3 = build_problem(ProblemSpec("example3", n=n))
+    problem = quasi_to_general(lambda u: 0.1 * u, Box(np.zeros(n), np.ones(n)), example3.T, n)
+    assert problem.g_inverse is None
+    return problem, example3.known_solution
+
+
+@pytest.mark.parametrize("algorithm", [
+    "two-step", "whe", "three-step", "dynamical-forward", "dynamical-implicit", "dynamical-explicit",
+    "dp-basic", "dp-optimal",
+])
+def test_solvers_recover_iterates_through_the_g_device(algorithm):
+    # Each g-space update goes back to u by recover_iterate's device
+    # point - g(point) + new.
+    problem, solution = _example3_under_a_g_without_inverse()
+    report = ALGORITHMS[algorithm](problem, SolveConfig(rho=0.15))
+    assert report.converged
+    assert np.max(np.abs(report.solution - solution)) <= 1e-6
+
+
+@pytest.mark.parametrize("algorithm", ["extragradient", "gap-descent"])
+def test_solvers_without_the_g_device_refuse_a_g_without_inverse(algorithm):
+    problem, _ = _example3_under_a_g_without_inverse()
+    with pytest.raises(CapabilityError):
+        ALGORITHMS[algorithm](problem, SolveConfig(rho=0.15))
 
 
 def test_wiener_hopf_residual_zero_operator(zero_operator_problem):

@@ -259,6 +259,15 @@ def test_higher_order_cubic_penalty_converges_with_margin(example4_5):
     assert margins.min() >= -1e-8
 
 
+def test_higher_order_subproblem_cap_names_its_loop_cap_step_and_tolerance(example4_10):
+    hp = HigherOrderProblem(base=example4_10, p=3.0, mu=0.5)
+    with pytest.raises(InnerLoopError, match=r"projected-gradient loop for the 'higher-order subproblem'"
+                       r" did not converge in 1 iterations \(inner_max_iters\); its last step .* is 1\.58,"
+                       r" above inner_tol = 1e-10") as err:
+        solve_higher_order(hp, SolveConfig(rho=0.5, inner_max_iters=1))
+    assert err.value.variant == "higher-order subproblem"
+
+
 def test_higher_order_zero_operator_stationary(zero_operator_problem):
     hp = HigherOrderProblem(base=zero_operator_problem, p=3.0, mu=0.1)
     report = solve_higher_order(hp, SolveConfig(rho=0.5))

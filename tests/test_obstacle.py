@@ -68,15 +68,6 @@ def test_error_ratios_show_second_order_convergence():
         assert 1.8 <= a / b <= 4.5
 
 
-def test_right_boundary_variants_coincide_on_benchmark():
-    # The benchmark has f = 0 and no contact nodes near the right end,
-    # so both right-row weight sets act on zero operator values.
-    prob = benchmark_problem()
-    s_corr = solve_grid(prob, 31, variant="corrected")
-    s_verb = solve_grid(prob, 31, variant="verbatim")
-    np.testing.assert_allclose(s_corr, s_verb, rtol=0.0, atol=1e-14)
-
-
 def test_homogeneous_instance_solves_to_zero():
     prob = homogeneous_problem()
     s = solve_grid(prob, 15)
@@ -90,8 +81,6 @@ def test_grid_validation():
         assemble(prob, 10)
     with pytest.raises(GridError):
         assemble(prob, 3)
-    with pytest.raises(ValueError):
-        assemble(prob, 15, variant="bogus")
 
 
 def test_interior_rows_carry_printed_stencils():
@@ -112,16 +101,15 @@ def test_contact_rows_fold_coefficient_into_matrix():
                                -w0 * np.array([1.0, 5.0, 5.0, 1.0]), atol=1e-18)
 
 
-@pytest.mark.parametrize("variant", ["corrected", "verbatim"])
 @pytest.mark.parametrize("make_problem", [benchmark_problem, general_problem])
-def test_array_code_matches_per_entry_loops(make_problem, variant):
+def test_array_code_matches_per_entry_loops(make_problem):
     prob = make_problem()
     for n in (7, 31):
-        system = assemble(prob, n, variant)
-        matrix, rhs = loop_spline_system(prob, n, variant)
+        system = assemble(prob, n)
+        matrix, rhs = loop_spline_system(prob, n)
         assert system.matrix.tobytes() == matrix.tobytes()
         assert system.rhs.tobytes() == rhs.tobytes()
-        s = solve_grid(prob, n, variant)
+        s = solve_grid(prob, n)
         assert spline_fit(prob, s).c[2].tobytes() == loop_knot_slopes(prob, s)[:-1].tobytes()
         assert complementarity_check(s, prob) == loop_complementarity(s, prob)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import gvikit.wiener_hopf
 from gvikit import (
     GviProblem,
     SolveConfig,
@@ -12,7 +13,7 @@ from gvikit import (
     solve_double_projection_optimal,
     solve_whe,
 )
-from gvikit.errors import LineSearchError
+from gvikit.errors import InfeasibleSetError, LineSearchError
 from gvikit.registry import ProblemSpec, build_problem
 from gvikit.sets import Box, WholeSpace
 
@@ -139,6 +140,24 @@ def test_dp_optimal_steps_stay_on_cutting_hyperplane(example3_10, example4_10):
                 continue
             gap = abs(float(rec.info["step_g"] @ rec.info["d"]) - rec.info["c"])
             assert gap <= 1e-8
+
+
+def test_dp_optimal_falls_back_to_the_basic_step_when_a_cut_misses_k(example4_10, monkeypatch):
+    cut = gvikit.wiener_hopf.project_intersection
+    calls = []
+
+    def first_cut_misses(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise InfeasibleSetError("forced miss")
+        return cut(*args, **kwargs)
+
+    monkeypatch.setattr(gvikit.wiener_hopf, "project_intersection", first_cut_misses)
+    report = solve_double_projection_optimal(example4_10, SolveConfig())
+    assert report.converged and report.iterations == 35
+    assert np.max(np.abs(report.solution - 1.0)) <= 1e-6
+    assert [k for k, rec in enumerate(report.trace) if rec.info and "fallback" in rec.info] == [1]
+    assert report.trace[1].info["fallback"] == "basic"
 
 
 def test_dp_optimal_cut_keeps_its_small_offset_at_large_n():
