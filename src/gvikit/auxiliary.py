@@ -67,7 +67,8 @@ def solve_three_step(problem, config=None, u0=None):
     ----------
     problem : GviProblem
     config : SolveConfig, optional
-        mu_step and beta_step default to the resolved rho when None.
+        mu_step and beta_step follow the stage's rho when None; the
+        report details give the values of the last step.
     u0 : array_like, optional
 
     Returns
@@ -75,18 +76,21 @@ def solve_three_step(problem, config=None, u0=None):
     SolveReport
     """
     config, rho, u = prepare_solve(problem, config, u0)
-    mu = rho if config.mu_step is None else config.mu_step
-    beta = rho if config.beta_step is None else config.beta_step
 
     def update(u, s, k):
+        mu = s.rho if config.mu_step is None else config.mu_step
+        beta = s.rho if config.beta_step is None else config.beta_step
         y = recover_iterate(problem, u, project(problem.K, s.gu - mu * s.t))
         gy = g_value(problem, y)
         w = recover_iterate(problem, y, project(problem.K, gy - beta * effective_T(problem, y)))
         gw = g_value(problem, w)
-        return recover_iterate(problem, w, project(problem.K, gw - rho * effective_T(problem, w))), None, None
+        return recover_iterate(problem, w, project(problem.K, gw - s.rho * effective_T(problem, w))), None, None
 
-    details = {"algorithm": "three-step", "mu_step": mu, "beta_step": beta}
-    return iterate_residual(problem, config, rho, u, update, details)
+    report = iterate_residual(problem, config, rho, u, update, {"algorithm": "three-step"})
+    last = report.details["rho"]
+    report.details["mu_step"] = last if config.mu_step is None else config.mu_step
+    report.details["beta_step"] = last if config.beta_step is None else config.beta_step
+    return report
 
 
 def _gap(problem, u, s, rho):

@@ -103,7 +103,8 @@ def bench(config_path, custom_path, **flags):
     """Run solver benchmarks and emit a result table.
 
     Exit code 0 on full success, 2 when any row fails to converge,
-    1 on configuration or runtime errors.
+    1 on configuration or runtime errors.  A row whose run raised puts
+    its message on stderr as ``error: <problem>/<alg>: <message>``.
     """
     file_values = parse_config_file(config_path) if config_path else {}
     opts = {
@@ -119,6 +120,9 @@ def bench(config_path, custom_path, **flags):
     algorithms = [tok.strip() for tok in opts["alg"].split(",") if tok.strip()]
     config = SolveConfig(**{key: opts[key] for key in _SOLVE_KEYS if opts[key] is not None})
     results = run_suite(specs, algorithms, config)
+    for result in results:
+        if result.error is not None:
+            click.echo(f"error: {result.problem}/{result.algorithm}: {result.error}", err=True)
     _write(emit_table(results, format=opts["format"] or "csv"), opts["out"])
     return 2 if any(not r.converged for r in results) else 0
 

@@ -21,6 +21,10 @@ from .sets import ConvexSet, NonnegOrthant, project
 _DIVERGENCE_LIMIT = 1e12
 # Relative factor of the inner-loop stop rule at the first outer step.
 _INNER_KAPPA = 0.1
+# A learned rho grows by at most this factor per step, and reaches at most
+# this fraction of the local ratio ||du|| / ||dT|| (see iterate_residual).
+_RHO_GROWTH = 1.2
+_RHO_LOCAL = 0.5
 
 
 @dataclass
@@ -144,7 +148,10 @@ class SolveConfig:
     Parameters
     ----------
     rho : float, optional
-        Step scalar; None selects 0.5 / (estimated Lipschitz constant of T).
+        Step scalar.  None starts the residual solvers at
+        rho_0 = 0.5 / (estimated Lipschitz constant of T) and lets them
+        learn rho along the run (see :func:`iterate_residual`), never
+        below rho_0; the other solvers keep their own default.
     tol : float
         Residual-norm stopping threshold.
     max_iters : int
@@ -266,12 +273,13 @@ class Stage(NamedTuple):
 
     gu = g(u), t = T(u) and p = P_K[gu - rho*t].  Every
     residual-driven solver steps from the stage at its current iterate,
-    so T is evaluated once per point.
+    with the stage's rho, so T is evaluated once per point.
     """
 
     gu: np.ndarray
     t: np.ndarray
     p: np.ndarray
+    rho: float
 
     @property
     def r(self):
@@ -291,7 +299,7 @@ def projection_stage(problem, u, rho, t=None):
     gu = g_value(problem, u)
     if t is None:
         t = effective_T(problem, u)
-    return Stage(gu, t, project(problem.K, gu - rho * t))
+    return Stage(gu, t, project(problem.K, gu - rho * t), rho)
 
 
 def residual(problem, u, rho):
@@ -450,7 +458,8 @@ def prepare_solve(problem, config, u0, default=default_rho, fixed=False):
     The config is ``SolveConfig()`` when None.  rho is ``config.rho``,
     or ``default`` when that is None or ``fixed`` is set; ``default`` is
     a number, or a function of the problem such as :func:`default_rho`
-    (the Lipschitz probe of the residual family).  The start point is a
+    (the Lipschitz probe of the residual family, which learns rho from
+    there on; see :func:`iterate_residual`).  The start point is a
     private copy of u0, or the projection of the origin onto K when u0
     is None.
     """
@@ -613,22 +622,49 @@ def iterate(u, norm, step, config, details, info=None, lyapunov=None):
     )
 
 
-def iterate_residual(problem, config, rho, u, update, details, lyapunov=None):
-    """Run :func:`iterate` on the projection residual at rho.
+def iterate_residual(problem, config, rho, u, update, details, lyapunov=None, _fixed=False):
+    """Run :func:`iterate` on the projection residual.
 
     ``update(u, s, k) -> (u_next, info, t_next)`` takes step k from the
-    stage s at u; info may instead be a callable of the stages at u and
-    u_next, and t_next is T(u_next) when the step already evaluated it,
-    else None.  The stage at each new iterate serves both the stop test
-    and the next step.  The report details gain ``rho``.
+    stage s at u, with the stage's step scalar ``s.rho``; info may instead
+    be a callable of the stages at u and u_next, and t_next is T(u_next)
+    when the step already evaluated it, else None.  The stage at each new
+    iterate serves both the stop test and the next step.
+
+    Every stage has rho when ``config.rho`` gives it, or when ``_fixed``
+    says that the solver's default stands in for it, as in
+    :func:`prepare_solve`.  Otherwise rho = rho_0 came from the Lipschitz
+    probe, and the stage at u_{k+1} has the learned step of Malitsky and Mishchenko (Adaptive
+    gradient descent without descent, ICML 2020)
+
+        rho_{k+1} = max(rho_0, min(1.2 rho_k, 0.5 ||u_{k+1} - u_k|| / ||T(u_{k+1}) - T(u_k)||)),
+
+    without the second term when T did not change.  T(u_{k+1}) is the
+    stage's own evaluation, so the rule costs no T evaluation.  For g(u)
+    in K, ||R(u, rho)|| is nondecreasing in rho (Calamai and Moré, Math.
+    Program. 39, 1987), so a stop at rho_k >= rho_0 also meets the stop
+    test at rho_0.  The report details gain ``rho``, the rho of the final
+    stage.
     """
     s = projection_stage(problem, u, rho)
+    learn = config.rho is None and not _fixed
 
     def step(u, k):
         nonlocal s
         u_next, info, t_next = update(u, s, k)
         check_divergence(u_next)
-        prev, s = s, projection_stage(problem, u_next, rho, t_next)
+        rho_next = s.rho
+        if learn:
+            if t_next is None:
+                t_next = effective_T(problem, u_next)
+            rho_next = _RHO_GROWTH * s.rho
+            t_change = vector_norm(t_next - s.t)
+            if t_change > 0.0:
+                rho_next = min(rho_next, _RHO_LOCAL * vector_norm(u_next - u) / t_change)
+            rho_next = max(rho, rho_next)
+        prev, s = s, projection_stage(problem, u_next, rho_next, t_next)
         return u_next, s.norm(), info(prev, s) if callable(info) else info
 
-    return iterate(u, s.norm(), step, config, dict(details, rho=rho), lyapunov=lyapunov)
+    report = iterate(u, s.norm(), step, config, details, lyapunov=lyapunov)
+    report.details = dict(details, rho=s.rho)
+    return report

@@ -277,11 +277,15 @@ def solve_varlike(problem, config=None, u0=None):
     return iterate(u, np.inf, step, config, {"algorithm": "varlike", "rho": rho})
 
 
-def _power_subproblem(problem, anchor, center, rho, config):
-    """Minimize rho*<T(anchor), v> + (1/2)||v - center||^2 + (nu/p)||v - anchor||^p over K."""
+def _power_subproblem(problem, anchor, center, rho, config, Ta=None):
+    """Minimize rho*<T(anchor), v> + (1/2)||v - center||^2 + (nu/p)||v - anchor||^p over K.
+
+    ``Ta``, when given, is T(anchor) already known to the caller.
+    """
     base = problem.base
     p, nu = problem.p, problem.nu
-    Ta = effective_T(base, anchor)
+    if Ta is None:
+        Ta = effective_T(base, anchor)
     if p == 2.0:
         return project(base.K, (center + nu * anchor - rho * Ta) / (1.0 + nu))
 
@@ -354,18 +358,26 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     if base.g is not None:
         raise CapabilityError("the built-in subproblem solver needs g = identity")
     config, rho, u = prepare_solve(base, config, u0)
+    last = None  # (anchor, T(anchor)) of the last implicit inner evaluation
+
+    def implicit_map(w, center):
+        # Composed with P_K, which keeps its fixed points: T is evaluated
+        # only in K, whatever the accelerated trial w.  A trial can land on
+        # the fixed point itself; then the next step's first anchor is the
+        # point returned, and T there is already known.
+        nonlocal last
+        anchor = project(base.K, w)
+        if last is None or not np.array_equal(last[0], anchor):
+            last = anchor, effective_T(base, anchor)
+        return _power_subproblem(problem, anchor, center, rho, config, Ta=last[1])
 
     def step(u, k):
         if mode == "two_step":
             y = _power_subproblem(problem, u, u, rho, config)
             u_next = _power_subproblem(problem, y, y, rho, config)
         else:
-            # Composed with P_K, which keeps its fixed points: T is evaluated
-            # only in K, whatever the accelerated trial w.
-            u_next, _ = inner_fixed_point(
-                lambda w: _power_subproblem(problem, project(base.K, w), u, rho, config), u.copy(), config,
-                "higher-order implicit step", k,
-            )
+            u_next, _ = inner_fixed_point(lambda w: implicit_map(w, u), u.copy(), config,
+                                          "higher-order implicit step", k)
         check_divergence(u_next)
         step_sq = vector_norm(u_next - u) ** 2
         return u_next, np.sqrt(step_sq), {"step_sq": step_sq}

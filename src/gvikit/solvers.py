@@ -75,7 +75,7 @@ def solve_extragradient(problem, config=None, u0=None):
 
     def update(u, s, k):
         y = eval_operator(problem, "g_inverse", s.p)
-        return u - s.gu + project(problem.K, s.gu - rho * effective_T(problem, y)), None, None
+        return u - s.gu + project(problem.K, s.gu - s.rho * effective_T(problem, y)), None, None
 
     return iterate_residual(problem, config, rho, u, update, {"algorithm": "extragradient"})
 
@@ -109,7 +109,7 @@ def solve_two_step(problem, config=None, u0=None):
         y = recover_iterate(problem, u, s.p)
         gy = g_value(problem, y)
         mid = (1.0 - xi) * u + xi * y
-        w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - rho * effective_T(problem, mid))
+        w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - s.rho * effective_T(problem, mid))
         return u - s.gu + w, None, None
 
     details = {"algorithm": "two-step", "lam": lam, "xi": xi}
@@ -163,14 +163,14 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
     def update(u, s, k):
         gu = s.gu
         if variant == EXPLICIT_T:
-            return recover_iterate(problem, u, project(problem.K, gu - rho * damp * s.t)), _step_gsq, None
+            return recover_iterate(problem, u, project(problem.K, gu - s.rho * damp * s.t)), _step_gsq, None
         last = None  # (w, T(u(w))) of the last trial
 
         def damped(w):
             nonlocal last
             arg = w if variant == FULL_IMPLICIT else gu
             last = (w, effective_T(problem, recover_iterate(problem, u, w)))
-            return (h * project(problem.K, arg - rho * last[1]) + gu) / (1.0 + h)
+            return (h * project(problem.K, arg - s.rho * last[1]) + gu) / (1.0 + h)
 
         # The stage's projection gives the first inner value: at w = g(u) both
         # variants project g(u) - rho*T(u), exactly so for the identity g.

@@ -109,7 +109,7 @@ def _solve_double_projection(problem, config, u0, optimal):
         return recover_iterate(problem, u, g_next), info, None
 
     details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
-    return iterate_residual(problem, config, rho, u, update, details)
+    return iterate_residual(problem, config, rho, u, update, details, _fixed=True)
 
 
 def solve_double_projection_basic(problem, config=None, u0=None):
@@ -189,9 +189,9 @@ def solve_whe(problem, config=None, u0=None):
         a_n = config.alpha_at(k, default=1.0)
         if not 0.0 < a_n <= 1.0:
             raise ValueError("alpha_schedule values must lie in (0, 1]")
-        shifted = s.gu - rho * s.t
+        shifted = s.gu - s.rho * s.t
         y = recover_iterate(problem, u, s.p)
-        w = project(problem.K, s.p - rho * effective_T(problem, y) + s.p - shifted)
+        w = project(problem.K, s.p - s.rho * effective_T(problem, y) + s.p - shifted)
         return recover_iterate(problem, u, (1.0 - a_n) * s.gu + a_n * w), {"alpha_n": a_n}, None
 
     return iterate_residual(problem, config, rho, u, update, {"algorithm": "whe"})

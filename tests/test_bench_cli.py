@@ -159,6 +159,28 @@ def test_run_suite_build_error_row_per_algorithm(tmp_path):
         assert row.error == f"custom module {str(path)!r} defines no build() function"
 
 
+def test_cli_bench_puts_each_failed_row_message_on_stderr(tmp_path):
+    path = tmp_path / "nobuild.py"
+    path.write_text("x = 1\n")
+    result = CliRunner().invoke(cli, ["bench", "--problem", "custom", "--path", str(path),
+                                      "--alg", "projection,dp-basic"])
+    assert result.exit_code == 2
+    assert result.stdout == (
+        "problem,n,algorithm,iterations,converged,residual,time\n"
+        "custom,0,projection,—,false,nan,0.0000\n"
+        "custom,0,dp-basic,—,false,nan,0.0000\n"
+    )
+    message = f"custom module {str(path)!r} defines no build() function"
+    assert result.stderr == f"error: custom/projection: {message}\nerror: custom/dp-basic: {message}\n"
+
+
+def test_cli_bench_rows_without_an_error_leave_stderr_empty():
+    result = CliRunner().invoke(cli, ["bench", "--problem", "example4", "--n", "10", "--alg", "projection",
+                                      "--rho", "0.5", "--max-iters", "2"])
+    assert result.exit_code == 2
+    assert result.stderr == ""
+
+
 def test_custom_module_build_runs_through_the_suite_and_the_command_line(tmp_path):
     path = tmp_path / "shifted.py"
     path.write_text(

@@ -19,6 +19,7 @@ from gvikit import (
     WholeSpace,
     Simplex,
     build_problem,
+    default_rho,
     project_intersection,
     projection_aux_oracle,
     residual,
@@ -167,11 +168,11 @@ def test_large_example3_iterations_and_operator_evaluations(alg, iterations, T_e
 
 def test_example2_dynamical_implicit_operator_evaluations():
     # Each inner loop stops relative to its first step, not at inner_tol,
-    # and reaches that test by Anderson trials.
+    # and reaches that test by Anderson trials; rho grows from the probe's.
     problem, calls = _counted(build_problem(ProblemSpec("example2")))
     report = ALGORITHMS["dynamical-implicit"](problem, SolveConfig())
     assert report.converged
-    assert (report.iterations, calls[0]) == (467, 3565)
+    assert (report.iterations, calls[0]) == (76, 797)
     # The exact solution of example2 (its residual is 0.0 in floating point).
     star = np.array([93.0 / 38.0, 0.5, 0.0, 20.0 / 19.0])
     assert np.max(np.abs(report.solution - star)) <= 1e-5
@@ -186,6 +187,57 @@ def test_example3_higher_order_implicit_operator_evaluations():
     assert report.converged
     assert (report.iterations, calls[0]) == (89, 386)
     assert np.max(np.abs(report.solution - base.known_solution)) <= 1e-6
+
+
+def test_example4_higher_order_implicit_evaluates_T_once_per_point():
+    # The small-mix run at p = 2: when an inner trial lands on its fixed
+    # point, the next step's first evaluation reuses T at the point returned.
+    base = build_problem(ProblemSpec("example4", n=100))
+    points = []
+
+    def recording_T(x):
+        points.append(np.array(x, dtype=float))
+        return base.T(x)
+
+    problem = HigherOrderProblem(base=dataclasses.replace(base, T=recording_T), p=2.0, mu=0.5)
+    report = solve_higher_order(problem, SolveConfig(rho=0.1), mode="implicit")
+    assert report.converged
+    assert (report.iterations, len(points)) == (145, 482)
+    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+
+# The residual solvers whose rho comes from the probe when config.rho is None.
+LEARNED_STEP = ["projection", "extragradient", "two-step", "whe", "three-step", "dynamical-forward",
+                "dynamical-implicit", "dynamical-explicit"]
+
+
+@pytest.fixture(scope="module", params=[("example2", None), ("example3", 10), ("example3", 100),
+                                        ("example3", 1000), ("example4", 10), ("example4", 100),
+                                        ("example4", 1000)], ids=lambda spec: f"{spec[0]}-{spec[1]}")
+def probed_problem(request):
+    problem = build_problem(ProblemSpec(*request.param))
+    return problem, default_rho(problem)
+
+
+@pytest.mark.parametrize("alg", LEARNED_STEP)
+def test_learned_step_stops_where_the_probe_rho_stops(alg, probed_problem):
+    # rho grows from the probe's rho_0 and never falls below it, so the
+    # stop test at the last stage's rho also holds at rho_0.
+    problem, rho_0 = probed_problem
+    config = SolveConfig()
+    report = ALGORITHMS[alg](problem, config)
+    assert report.converged
+    assert report.details["rho"] >= rho_0
+    assert np.linalg.norm(residual(problem, report.solution, rho_0)) <= config.tol
+
+
+def test_learned_step_costs_no_operator_evaluation():
+    # 40 probe evaluations, the stage at the start, and one stage per step.
+    problem, calls = _counted(build_problem(ProblemSpec("example2")))
+    report = ALGORITHMS["projection"](problem, SolveConfig())
+    assert report.converged
+    assert calls[0] == 40 + report.iterations + 1
+    assert report.details["rho"] > default_rho(problem)
 
 
 @pytest.mark.parametrize("case", ["higher-order-implicit-p2", "higher-order-implicit-p3", "eq-inertial",
