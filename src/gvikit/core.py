@@ -172,9 +172,10 @@ class SolveConfig:
     inner_tol : float
         Floor of the stop test of the inner fixed-point loops of implicit
         schemes, which otherwise stop relative to their first step (see
-        :func:`inner_fixed_point`).
+        :func:`inner_fixed_point`); also the bound on the distance of each
+        higher-order power subproblem's answer from its minimizer.
     inner_max_iters : int
-        Cap for inner fixed-point loops.
+        Cap for the inner fixed-point loops only.
     alpha_schedule : float or callable, optional
         Per-iteration blending weight alpha_n (constant or n -> alpha_n);
         None selects the solver's default.

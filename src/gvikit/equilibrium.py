@@ -7,7 +7,7 @@ drive it.  The linear/projection reduction ships as the only built-in.
 The oracle solvers take rho = 1 when config.rho is None, with no
 Lipschitz probe.
 The higher-order family regularizes each half-step with a p-th power
-penalty and solves it by projected gradient descent.
+penalty and solves it by a bracketed root search on one scalar.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     recover_iterate,
     vector_norm,
 )
-from .errors import CapabilityError, InnerLoopError, OracleContractError, UnsupportedSetError
+from .errors import CapabilityError, OracleContractError, UnsupportedSetError
 from .sets import Box, NonnegOrthant, WholeSpace, distance, project
 
 _FEASIBILITY_TOL = 1e-10
@@ -280,7 +280,12 @@ def solve_varlike(problem, config=None, u0=None):
 def _power_subproblem(problem, anchor, center, rho, config, Ta=None):
     """Minimize rho*<T(anchor), v> + (1/2)||v - center||^2 + (nu/p)||v - anchor||^p over K.
 
-    ``Ta``, when given, is T(anchor) already known to the caller.
+    ``Ta``, when given, is T(anchor) already known to the caller.  For
+    p != 2 the minimizer is V(tau) = P_K[a + tau*(q - a)], q = center - rho*Ta,
+    at the one root tau in (0, 1] of psi(tau) = nu*tau*||V(tau) - a||^(p-2) + tau - 1:
+    the optimality condition with tau = 1/(1 + nu*||v - a||^(p-2)).  Illinois regula
+    falsi from psi(0+) = -1 <= psi(1) stops at (hi - lo)*||q - a|| <= inner_tol, so, as
+    P_K is nonexpansive, the V returned lies within inner_tol of the minimizer.
     """
     base = problem.base
     p, nu = problem.p, problem.nu
@@ -289,38 +294,30 @@ def _power_subproblem(problem, anchor, center, rho, config, Ta=None):
     if p == 2.0:
         return project(base.K, (center + nu * anchor - rho * Ta) / (1.0 + nu))
 
-    def objective(v):
-        return float(
-            rho * (Ta @ v)
-            + 0.5 * float((v - center) @ (v - center))
-            + (nu / p) * vector_norm(v - anchor) ** p
-        )
+    d = center - rho * Ta - anchor  # q - a
+    width = vector_norm(d)
 
-    v = project(base.K, np.asarray(center, dtype=float))
-    f_v = objective(v)
-    for _ in range(config.inner_max_iters):
-        shift = v - anchor
-        s = vector_norm(shift)
-        grad = rho * Ta + (v - center)
-        if s > 0:
-            grad = grad + nu * s ** (p - 2.0) * shift
-        tau = 1.0 / (1.0 + nu * (p - 1.0) * s ** (p - 2.0)) if s > 0 else 1.0
-        for _ in range(60):
-            v_next = project(base.K, v - tau * grad)
-            f_next = objective(v_next)
-            if f_next <= f_v:
+    def psi(tau):
+        v = project(base.K, anchor + tau * d)
+        s = vector_norm(v - anchor)
+        # For p < 2, v = a at tau > 0 puts q - a in K's normal cone at a: a = P_K[q] is the minimizer.
+        return v, (nu * tau * s ** (p - 2.0) + tau - 1.0 if s > 0.0 or p > 2.0 else 0.0)
+
+    lo, hi, f_lo, f_last = 0.0, 1.0, -1.0, 0.0
+    v, f_hi = psi(hi)
+    while f_hi != 0.0 and (hi - lo) * width > config.inner_tol:
+        tau = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        if not lo < tau < hi:
+            tau = 0.5 * (lo + hi)
+            if not lo < tau < hi:  # no float inside the bracket
                 break
-            tau *= 0.5
-        step = vector_norm(v_next - v)
-        v, f_v = v_next, f_next
-        if step <= config.inner_tol:
-            return v
-    raise InnerLoopError(
-        "higher-order subproblem",
-        f"projected-gradient loop for the 'higher-order subproblem' did not converge in"
-        f" {config.inner_max_iters} iterations (inner_max_iters); its last step ||v_(j+1) - v_j|| is"
-        f" {step:.3g}, above inner_tol = {config.inner_tol:.3g}.",
-    )
+        v, f = psi(tau)
+        if f < 0.0:  # Illinois: halve the value at the end kept twice in a row
+            lo, f_lo, f_hi = tau, f, f_hi * (0.5 if f_last < 0.0 else 1.0)
+        else:
+            hi, f_hi, f_lo = tau, f, f_lo * (0.5 if f_last > 0.0 else 1.0)
+        f_last = f
+    return v
 
 
 def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
@@ -350,7 +347,7 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     CapabilityError
         When the base problem has a non-identity g.
     InnerLoopError
-        When the subproblem or the implicit fixed point stalls.
+        When the implicit fixed point stalls.
     """
     if mode not in ("two_step", "implicit"):
         raise ValueError("mode must be 'two_step' or 'implicit'")

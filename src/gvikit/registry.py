@@ -82,6 +82,7 @@ class ProblemSpec:
 class BenchResult:
     """One (problem, algorithm) benchmark row.
 
+    n is None when the problem failed to build and the spec gave no n;
     iterations is the raw step count (None when the run errored out);
     converged implies residual_norm <= tol.  error records a per-row
     failure message without aborting the suite.
@@ -89,7 +90,7 @@ class BenchResult:
 
     problem: str
     algorithm: str
-    n: int
+    n: Optional[int]
     iterations: Optional[int]
     converged: bool
     residual_norm: float
@@ -181,7 +182,7 @@ def build_problem(spec):
 def _row_n(spec, problem):
     if spec.n is not None:
         return spec.n
-    return getattr(problem, "dim", 0)
+    return getattr(problem, "dim", None)
 
 
 def run_suite(specs, algorithms, config=None):
@@ -237,7 +238,7 @@ def _cells(result):
     residual = "nan" if np.isnan(result.residual_norm) else f"{result.residual_norm:.6e}"
     return (
         result.problem,
-        str(result.n),
+        "" if result.n is None else str(result.n),
         result.algorithm,
         iters,
         "true" if result.converged else "false",

@@ -152,6 +152,7 @@ def test_run_suite_build_error_row_per_algorithm(tmp_path):
     rows = run_suite([ProblemSpec("custom", path=str(path))], ["projection", "dp-basic"])
     assert [r.algorithm for r in rows] == ["projection", "dp-basic"]
     for row in rows:
+        assert row.n is None
         assert row.iterations is None
         assert not row.converged
         assert math.isnan(row.residual_norm)
@@ -167,8 +168,8 @@ def test_cli_bench_puts_each_failed_row_message_on_stderr(tmp_path):
     assert result.exit_code == 2
     assert result.stdout == (
         "problem,n,algorithm,iterations,converged,residual,time\n"
-        "custom,0,projection,—,false,nan,0.0000\n"
-        "custom,0,dp-basic,—,false,nan,0.0000\n"
+        "custom,,projection,—,false,nan,0.0000\n"
+        "custom,,dp-basic,—,false,nan,0.0000\n"
     )
     message = f"custom module {str(path)!r} defines no build() function"
     assert result.stderr == f"error: custom/projection: {message}\nerror: custom/dp-basic: {message}\n"

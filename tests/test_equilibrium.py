@@ -18,13 +18,14 @@ from gvikit import (
     solve_three_step,
     solve_varlike,
 )
+from gvikit.equilibrium import _power_subproblem
 from gvikit.errors import (
     CapabilityError,
     InnerLoopError,
     OracleContractError,
     UnsupportedSetError,
 )
-from gvikit.sets import Box, NonnegOrthant
+from gvikit.sets import Box, Halfspace, NonnegOrthant, Simplex, WholeSpace, distance, project
 
 
 def wrap_equilibrium(problem):
@@ -259,13 +260,49 @@ def test_higher_order_cubic_penalty_converges_with_margin(example4_5):
     assert margins.min() >= -1e-8
 
 
-def test_higher_order_subproblem_cap_names_its_loop_cap_step_and_tolerance(example4_10):
-    hp = HigherOrderProblem(base=example4_10, p=3.0, mu=0.5)
-    with pytest.raises(InnerLoopError, match=r"projected-gradient loop for the 'higher-order subproblem'"
-                       r" did not converge in 1 iterations \(inner_max_iters\); its last step .* is 1\.58,"
-                       r" above inner_tol = 1e-10") as err:
-        solve_higher_order(hp, SolveConfig(rho=0.5, inner_max_iters=1))
-    assert err.value.variant == "higher-order subproblem"
+@pytest.mark.parametrize("p", [1.5, 3.0, 4.0])
+@pytest.mark.parametrize("K", [Box(np.zeros(6), np.ones(6)), Simplex(total=1.0), WholeSpace(),
+                               Halfspace(np.arange(1.0, 7.0), 2.0)], ids=lambda K: type(K).__name__)
+def test_higher_order_subproblem_meets_its_optimality_condition(K, p):
+    # The minimizer v satisfies v = P_K[(q + lam*a)/(1 + lam)] with
+    # q = center - rho*T(a) and lam = nu*||v - a||^(p-2), the penalty's
+    # gradient being 0 at v = a.  Outside WholeSpace a quarter of the
+    # anchors lie outside K, as two_step's first anchor may.
+    rng = np.random.default_rng(11)
+    n, rho, config = 6, 0.1, SolveConfig()
+    M = rng.standard_normal((n, n))
+    base = GviProblem(dim=n, T=lambda u: M @ u - 1.0, K=K)
+    problem = HigherOrderProblem(base=base, p=p, mu=0.5)
+    for draw in range(40):
+        anchor = 2.0 * rng.standard_normal(n)
+        while draw % 4 == 0 and distance(K, anchor) == 0 and not isinstance(K, WholeSpace):
+            anchor = 2.0 * rng.standard_normal(n)
+        if draw % 4:
+            anchor = project(K, anchor)
+        center = project(K, 2.0 * rng.standard_normal(n))
+        v = _power_subproblem(problem, anchor, center, rho, config)
+        assert distance(K, v) <= 1e-12
+        q = center - rho * base.T(anchor)
+        s = np.linalg.norm(v - anchor)
+        lam = problem.nu * s ** (p - 2.0) if s > 0 else 0.0
+        fixed = project(K, (q + lam * anchor) / (1.0 + lam))
+        bound = 10.0 * config.inner_tol * max(1.0, np.linalg.norm(q - anchor))
+        assert np.linalg.norm(v - fixed) <= bound
+
+
+def test_higher_order_implicit_converges_at_p_below_two(example3_10):
+    hp = HigherOrderProblem(base=example3_10, p=1.5, mu=0.5)
+    report = solve_higher_order(hp, SolveConfig(rho=0.1), mode="implicit")
+    assert report.converged
+    assert np.max(np.abs(report.solution - example3_10.known_solution)) <= 1e-4
+
+
+@pytest.mark.parametrize("mode, iterations", [("two_step", 35), ("implicit", 79)])
+def test_higher_order_quartic_penalty_iterations(example3_10, mode, iterations):
+    hp = HigherOrderProblem(base=example3_10, p=4.0, mu=0.5)
+    report = solve_higher_order(hp, SolveConfig(rho=0.1), mode=mode)
+    assert report.converged
+    assert report.iterations == iterations
 
 
 def test_higher_order_zero_operator_stationary(zero_operator_problem):

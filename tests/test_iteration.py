@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import gvikit.equilibrium
 import gvikit.sets
 import gvikit.wiener_hopf
 from gvikit import (
@@ -204,6 +205,27 @@ def test_example4_higher_order_implicit_evaluates_T_once_per_point():
     assert report.converged
     assert (report.iterations, len(points)) == (145, 482)
     assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+
+@pytest.mark.parametrize("pid, mode, counts", [("example3", "two_step", (40, 80, 318)),
+                                               ("example3", "implicit", (89, 386, 1474)),
+                                               ("example4", "two_step", (72, 144, 622)),
+                                               ("example4", "implicit", (145, 489, 2211))])
+def test_higher_order_p3_iterations_operator_evaluations_and_projections(pid, mode, counts, monkeypatch):
+    # The small-mix runs at p = 3: (iterations, T calls, projections).  Each
+    # power subproblem is one bracketed scalar search, a projection per trial.
+    projections = [0]
+    project = gvikit.equilibrium.project
+
+    def counted_project(K, x):
+        projections[0] += 1
+        return project(K, x)
+
+    monkeypatch.setattr(gvikit.equilibrium, "project", counted_project)
+    problem, calls = _counted(build_problem(ProblemSpec(pid, n=100)))
+    report = solve_higher_order(HigherOrderProblem(base=problem, p=3.0, mu=0.5), SolveConfig(rho=0.1), mode=mode)
+    assert report.converged
+    assert (report.iterations, calls[0], projections[0]) == counts
 
 
 # The residual solvers whose rho comes from the probe when config.rho is None.
