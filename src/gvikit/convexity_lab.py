@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,69 +87,127 @@ class CertReport:
         return self.verdict == "pass"
 
 
-class _Pair:
-    """Values at a pair, each computed once, and every class's inequality on them."""
-
-    def __init__(self, fut, u, v):
-        self.fut = fut
-        self.yu, self.yv = fut.g_image(u), fut.g_image(v)
-        self.Fu, self.Fv = fut.value(self.yu), fut.value(self.yv)
-        with np.errstate(over="ignore"):
-            self.eu, self.ev = np.exp(self.Fu), np.exp(self.Fv)
-        self.gap = float(np.linalg.norm(self.yv - self.yu))
-
-    def F_at(self, t):
-        return self.fut.value(self.yu + t * (self.yv - self.yu))
-
-    def hos(self, t):
-        p, mu = self.fut.p, self.fut.mu
-        bound = (1.0 - t) * self.Fu + t * self.Fv - mu * (t**p * (1.0 - t) + t * (1.0 - t) ** p) * self.gap**p
-        return self.F_at(t) - bound
-
-    def gradient_char(self):
-        fut, growth = self.fut, self.gap**self.fut.p
-        grad_u = fut.gradient(self.yu)
-        lower = self.Fu + float(grad_u @ (self.yv - self.yu)) + fut.mu * growth - self.Fv
-        mono = 2.0 * fut.mu * growth - float((grad_u - fut.gradient(self.yv)) @ (self.yu - self.yv))
-        return max(lower, mono)
-
-    def exp_curve(self, t, strong):
-        strengthening = self.fut.mu * t * (1.0 - t) * self.gap**2 if strong else 0.0
-        bound = (1.0 - t) * self.eu + t * self.ev - strengthening
-        return float(np.exp(self.F_at(t)) - bound)
-
-    def exp_differential(self, strong):
-        mu = self.fut.mu if strong else 0.0
-        lhs = float(self.eu * self.fut.gradient(self.yu) @ (self.yv - self.yu)) + mu * self.gap**2
-        return lhs - (float(self.ev) - self.eu)
-
-    def hierarchy(self, t, tol=1e-12):
-        """(implication violation, leg values) at the triple; see hierarchy_violation."""
-        e_mid = float(np.exp(self.F_at(t)))
-        e_u, e_v = float(self.eu), float(self.ev)
-        legs = {"convex": e_mid - ((1.0 - t) * e_u + t * e_v), "quasi": e_mid - max(e_u, e_v)}
-        worst = -np.inf
-        if self.Fu > 0 and self.Fv > 0:
-            legs["log"] = e_mid - e_u ** (1.0 - t) * e_v**t
-            if legs["log"] <= tol:
-                worst = max(worst, legs["convex"])
-        if legs["convex"] <= tol:
-            worst = max(worst, legs["quasi"])
-        return worst, legs
+_quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the sweep masks out what overflows
 
 
-def _sweep(draw, samples, seed, pair, t_grid=(None,), details=None):
-    """The one sampling loop: per sample draw u, then v, and sweep t_grid.
+def _pow(x, p):
+    """x ** p elementwise by Python's float power; numpy's SIMD power may differ in the last bit."""
+    return np.frompyfunc(pow, 2, 1)(x, p).astype(float)
 
-    pair(u, v) returns (scale, at); at(t) returns the triple's violation
-    and a dict of leg values.  A triple fails when its violation exceeds
-    _BASE_TOL * max(1, scale), so each triple is judged on its own scale.
-    t_grid=None is default_t_grid(); checks without t keep (None,).  A
-    triple counts only if its scale, set by the two ends, is finite and
-    none of its values is NaN: an end whose e^F overflows tests nothing,
-    while an overflow at the blend point alone is a real, infinite
-    violation.  details(low, high) gets the smallest and largest value of
-    each leg.
+
+def _rowdot(a, b):
+    """Dot product of each row of a with the same row of b, each as one a @ b."""
+    return np.array([x @ y for x, y in zip(a, b)])
+
+
+def _ends(fut, pairs):
+    """g-images (one row per pair), F values and gaps ||g(v) - g(u)|| of the pairs."""
+    yu, yv = (np.array([fut.g_image(w) for w in ends]) for ends in zip(*pairs))
+    Fu, Fv = (np.array([fut.value(y) for y in ys]) for ys in (yu, yv))
+    return yu, yv, Fu, Fv, np.sqrt(_rowdot(yv - yu, yv - yu))
+
+
+def _blend(fut, yu, yv, t, scale):
+    """F at yu + t(yv - yu) per pair (rows) and t (columns) where the pair's scale is finite, else NaN."""
+    points = yu[:, None] + t[:, None] * (yv - yu)[:, None]
+    values = np.full(points.shape[:2], np.nan)
+    for i in np.flatnonzero(np.isfinite(scale)):
+        values[i] = [fut.value(y) for y in points[i]]
+    return values
+
+
+def _gradients(fut, y, scale):
+    """The gradient at each row of y whose pair's scale is finite, else NaN."""
+    grads = np.full(y.shape, np.nan)
+    for i in np.flatnonzero(np.isfinite(scale)):
+        grads[i] = fut.gradient(y[i])
+    return grads
+
+
+@_quiet
+def _hos(fut, pairs, t):
+    """Higher order strong convexity: (scale, violation, legs) at pairs × t."""
+    yu, yv, Fu, Fv, gap = _ends(fut, pairs)
+    scale = np.maximum(abs(Fu), abs(Fv))
+    p, s = fut.p, 1.0 - t
+    growth = fut.mu * (_pow(t, p) * s + t * _pow(s, p)) * _pow(gap, p)[:, None]
+    bound = s * Fu[:, None] + t * Fv[:, None] - growth
+    return scale, _blend(fut, yu, yv, t, scale) - bound, {}
+
+
+@_quiet
+def _gradient_char(fut, pairs, t=None):
+    """The worse of the first-order and monotonicity violations, one per pair."""
+    yu, yv, Fu, Fv, gap = _ends(fut, pairs)
+    scale = np.maximum(abs(Fu), abs(Fv))
+    grad_u, grad_v = (_gradients(fut, y, scale) for y in (yu, yv))
+    growth = _pow(gap, fut.p)
+    lower = Fu + _rowdot(grad_u, yv - yu) + fut.mu * growth - Fv
+    mono = 2.0 * fut.mu * growth - _rowdot(grad_u - grad_v, yu - yv)
+    return scale, np.maximum(lower, mono)[:, None], {}
+
+
+@_quiet
+def _parallelogram(p, mu, pairs, t=None):
+    """Lower law per pair; the legs are its size and the modulus that makes it tight, if ||v-u||^p > 1e-12."""
+    u, v = (np.array([np.atleast_1d(np.asarray(w, dtype=float)) for w in ends]) for ends in zip(*pairs))
+    plus, gap, pu, pv = (_pow(np.sqrt(_rowdot(x, x)), p) for x in (u + v, v - u, u, v))
+    rhs = 2.0 ** (p - 1.0) * (pu + pv)
+    viol = plus + mu * gap - rhs
+    quotient = np.where(gap > 1e-12, (rhs - plus) / gap, np.nan)
+    return abs(rhs), viol[:, None], {"equality_violation": abs(viol)[:, None], "quotient": quotient[:, None]}
+
+
+@_quiet
+def _exp_convex(fut, pairs, t, strong, differential):
+    """Exponential convexity: the curve leg at pairs × t, and the differential leg per pair if asked."""
+    yu, yv, Fu, Fv, gap = _ends(fut, pairs)
+    eu, ev = np.exp(Fu)[:, None], np.exp(Fv)[:, None]
+    scale = np.maximum(eu, ev)[:, 0]
+    mu = fut.mu if strong else 0.0
+    gap_sq = _pow(gap, 2.0)[:, None]
+    bound = (1.0 - t) * eu + t * ev - (mu * t * (1.0 - t) * gap_sq if strong else 0.0)
+    viol = np.exp(_blend(fut, yu, yv, t, scale)) - bound
+    legs = {"curve": viol}
+    if differential:
+        lhs = _rowdot(eu * _gradients(fut, yu, scale), yv - yu)[:, None] + mu * gap_sq
+        legs["differential"] = lhs - (ev - eu)
+        viol = np.maximum(viol, legs["differential"])
+    return scale, viol, legs
+
+
+@_quiet
+def _hierarchy(fut, pairs, t, tol=1e-12):
+    """Implication violation and the convex, quasi and log legs at pairs × t."""
+    yu, yv, Fu, Fv, _ = _ends(fut, pairs)
+    eu, ev = np.exp(Fu)[:, None], np.exp(Fv)[:, None]
+    scale = np.maximum(eu, ev)[:, 0]
+    e_mid = np.exp(_blend(fut, yu, yv, t, scale))
+    convex = e_mid - ((1.0 - t) * eu + t * ev)
+    quasi = e_mid - scale[:, None]
+    log = np.full(convex.shape, np.nan)
+    both = (Fu > 0) & (Fv > 0)
+    log[both] = e_mid[both] - _pow(eu[both], 1.0 - t) * _pow(ev[both], t)
+    worst = np.where(log <= tol, convex, -np.inf)
+    worst = np.where(convex <= tol, np.maximum(worst, quasi), worst)
+    worst[np.isnan(e_mid)] = np.nan
+    return scale, worst, {"convex": convex, "quasi": quasi, "log": log}
+
+
+def _sweep(draw, samples, seed, inequality, t_grid=(None,), details=None):
+    """The one sampling sweep: draw u, then v, for every sample, then judge all triples at once.
+
+    inequality(pairs, t) gives, over pairs (rows) and t (columns), each
+    pair's scale, set by its two ends, each triple's violation, NaN where
+    it tests nothing, and the legs, NaN where absent.  A triple counts if
+    its scale is finite and its violation is not NaN: an end whose F is
+    NaN or whose e^F overflows tests nothing, and F is not evaluated
+    between such ends, while an overflow at the blend point alone is an
+    infinite violation.  A triple fails when its violation exceeds
+    _BASE_TOL * max(1, scale).  The witness is the first worst triple in
+    sample-major order.  t_grid=None is default_t_grid(); checks without t
+    keep (None,).  details(low, high) gets each leg's range over the
+    counted triples.
     """
     t_values = [None if t is None else float(t) for t in (default_t_grid() if t_grid is None else t_grid)]
     if samples < 1:
@@ -156,35 +215,28 @@ def _sweep(draw, samples, seed, pair, t_grid=(None,), details=None):
     if not t_values:
         raise ValueError("t_grid must hold at least one t")
     rng = np.random.default_rng(seed)
-    worst, witness, count, failed = -np.inf, None, 0, False
-    low, high = {}, {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(samples):
-            u = draw(rng)
-            v = draw(rng)
-            pair_scale, at = pair(u, v)
-            if not np.isfinite(pair_scale):
-                continue
-            for t in t_values:
-                viol, legs = at(t)
-                if any(math.isnan(x) for x in (viol, *legs.values())):
-                    continue
-                count += 1
-                failed = failed or viol > _BASE_TOL * max(1.0, pair_scale)
-                if viol > worst:
-                    worst, witness = viol, (u, v, t)
-                for leg, value in legs.items():
-                    low[leg] = min(low.get(leg, np.inf), value)
-                    high[leg] = max(high.get(leg, -np.inf), value)
+    pairs = [(draw(rng), draw(rng)) for _ in range(samples)]
+    scale, viol, legs = inequality(pairs, np.array(t_values, dtype=float))
+    counted = np.broadcast_to(np.isfinite(scale)[:, None] & ~np.isnan(viol), (samples, len(t_values)))
+    count = int(counted.sum())
     if count == 0:
         raise NumericDomainError("F", "no sampled triple had finite values to check")
-    verdict = "fail" if failed else "pass"
-    return CertReport(count, worst, witness, verdict, None if details is None else details(low, high))
+    failed = np.any(counted & (viol > _BASE_TOL * np.maximum(1.0, scale)[:, None]))
+    masked = np.where(counted, viol, -np.inf)
+    i, j = np.unravel_index(np.argmax(masked), masked.shape)
+    worst = float(masked[i, j])
+    witness = None if worst == -np.inf else (*pairs[i], t_values[j])
+    low, high = {}, {}
+    for leg, values in legs.items():
+        values = np.where(counted, values, np.nan)
+        if not np.isnan(values).all():
+            low[leg], high[leg] = float(np.nanmin(values)), float(np.nanmax(values))
+    return CertReport(count, worst, witness, "fail" if failed else "pass", details and details(low, high))
 
 
 def hos_convex_violation(fut, u, v, t):
     """LHS - RHS of the higher order strong convexity inequality."""
-    return _Pair(fut, u, v).hos(t)
+    return float(_hos(fut, [(u, v)], np.array([t], dtype=float))[1][0, 0])
 
 
 def check_hos_convex(fut, samples=200, t_grid=None, seed=0):
@@ -205,17 +257,12 @@ def check_hos_convex(fut, samples=200, t_grid=None, seed=0):
     -------
     CertReport
     """
-
-    def pair(u, v):
-        e = _Pair(fut, u, v)
-        return max(abs(e.Fu), abs(e.Fv)), lambda t: (e.hos(t), {})
-
-    return _sweep(fut.domain_sampler, samples, seed, pair, t_grid)
+    return _sweep(fut.domain_sampler, samples, seed, partial(_hos, fut), t_grid)
 
 
 def gradient_char_violation(fut, u, v):
     """Worst of the first-order and monotonicity violations at a pair."""
-    return _Pair(fut, u, v).gradient_char()
+    return float(_gradient_char(fut, [(u, v)])[1][0, 0])
 
 
 def check_gradient_char(fut, samples=200, seed=0):
@@ -236,26 +283,12 @@ def check_gradient_char(fut, samples=200, seed=0):
     -------
     CertReport
     """
-
-    def pair(u, v):
-        e = _Pair(fut, u, v)
-        return max(abs(e.Fu), abs(e.Fv)), lambda t: (e.gradient_char(), {})
-
-    return _sweep(fut.domain_sampler, samples, seed, pair)
-
-
-def _parallelogram(p, mu, u, v):
-    """Lower-law terms at a pair: (violation, rhs, ||u+v||^p, ||v-u||^p)."""
-    u, v = (np.atleast_1d(np.asarray(w, dtype=float)) for w in (u, v))
-    plus = float(np.linalg.norm(u + v)) ** p
-    gap = float(np.linalg.norm(v - u)) ** p
-    rhs = 2.0 ** (p - 1.0) * (float(np.linalg.norm(u)) ** p + float(np.linalg.norm(v)) ** p)
-    return plus + mu * gap - rhs, rhs, plus, gap
+    return _sweep(fut.domain_sampler, samples, seed, partial(_gradient_char, fut))
 
 
 def parallelogram_violation(p, mu, u, v):
     """Signed lower-law violation ||u+v||^p + mu||v-u||^p - 2^{p-1}(...)."""
-    return _parallelogram(p, mu, u, v)[0]
+    return float(_parallelogram(p, mu, [(u, v)])[1][0, 0])
 
 
 def check_parallelogram(p, mu, samples=500, dim=3, seed=0):
@@ -284,28 +317,21 @@ def check_parallelogram(p, mu, samples=500, dim=3, seed=0):
     if dim < 1:
         raise ValueError("dim must be at least 1")
 
-    def pair(u, v):
-        viol, rhs, plus, gap = _parallelogram(p, mu, u, v)
-        legs = {"equality_violation": abs(viol)}
-        if gap > 1e-12:
-            legs["quotient"] = (rhs - plus) / gap
-        return abs(rhs), lambda t: (viol, legs)
-
     def details(low, high):
         return {"mu_lower": low.get("quotient", np.nan), "mu_upper": high.get("quotient", np.nan),
                 "equality_violation": high["equality_violation"]}
 
-    return _sweep(lambda rng: rng.standard_normal(dim), samples, seed, pair, details=details)
+    return _sweep(lambda rng: rng.standard_normal(dim), samples, seed, partial(_parallelogram, p, mu), details=details)
 
 
 def exp_convex_violation(fut, u, v, t, strong=False):
     """LHS - RHS of the (strong) exponential convexity inequality."""
-    return _Pair(fut, u, v).exp_curve(t, strong)
+    return float(_exp_convex(fut, [(u, v)], np.array([t], dtype=float), strong, False)[2]["curve"][0, 0])
 
 
 def exp_gradient_violation(fut, u, v, strong=False):
     """LHS - RHS of the differential exponential convexity bound."""
-    return _Pair(fut, u, v).exp_differential(strong)
+    return float(_exp_convex(fut, [(u, v)], np.empty(0), strong, True)[2]["differential"][0, 0])
 
 
 def check_exp_convex(fut, samples=200, t_grid=None, seed=0, strong=False, concave=False):
@@ -335,18 +361,8 @@ def check_exp_convex(fut, samples=200, t_grid=None, seed=0, strong=False, concav
         neg_grad = None if fut.grad_F is None else (lambda y: -np.asarray(fut.grad_F(y)))
         flipped = replace(fut, F=lambda y: -fut.F(y), grad_F=neg_grad)
         return check_exp_convex(flipped, samples, t_grid, seed, strong=strong)
-
-    def pair(u, v):
-        e = _Pair(fut, u, v)
-        legs = {} if fut.grad_F is None else {"differential": e.exp_differential(strong)}
-
-        def at(t):
-            curve = e.exp_curve(t, strong)
-            return max([curve, *legs.values()]), {"curve": curve, **legs}
-
-        return max(e.eu, e.ev), at
-
-    return _sweep(fut.domain_sampler, samples, seed, pair, t_grid, lambda low, high: high)
+    inequality = partial(_exp_convex, fut, strong=strong, differential=fut.grad_F is not None)
+    return _sweep(fut.domain_sampler, samples, seed, inequality, t_grid, lambda low, high: high)
 
 
 def hierarchy_violation(fut, u, v, t, tol=1e-12):
@@ -357,7 +373,7 @@ def hierarchy_violation(fut, u, v, t, tol=1e-12):
     where the convex inequality held.  The log leg is only consulted
     where F > 0 at both ends.
     """
-    return _Pair(fut, u, v).hierarchy(t, tol)[0]
+    return float(_hierarchy(fut, [(u, v)], np.array([t], dtype=float), tol)[1][0, 0])
 
 
 def check_hierarchy(fut, samples=200, t_grid=None, seed=0):
@@ -379,12 +395,8 @@ def check_hierarchy(fut, samples=200, t_grid=None, seed=0):
     -------
     CertReport
     """
-
-    def pair(u, v):
-        e = _Pair(fut, u, v)
-        return max(e.eu, e.ev), e.hierarchy
-
-    return _sweep(fut.domain_sampler, samples, seed, pair, t_grid, lambda low, high: {"log": -np.inf, **high})
+    return _sweep(fut.domain_sampler, samples, seed, partial(_hierarchy, fut), t_grid,
+                  lambda low, high: {"log": -np.inf, **high})
 
 
 def _interval_sampler(lo, hi):
@@ -402,53 +414,39 @@ def builtin_functions():
             F=lambda y: float(y @ y),
             grad_F=lambda y: 2.0 * np.asarray(y, dtype=float),
             domain_sampler=_ball_sampler(3),
-            p=2.0,
             mu=1.0,
         ),
         "affine": FunctionUnderTest(
             F=lambda y: float(np.sum(y)) + 1.0,
             grad_F=lambda y: np.ones(np.atleast_1d(y).size),
             domain_sampler=_ball_sampler(3),
-            p=2.0,
-            mu=0.0,
         ),
         "quartic": FunctionUnderTest(
             F=lambda y: float(y[0] ** 4),
             grad_F=lambda y: np.array([4.0 * y[0] ** 3]),
             domain_sampler=_interval_sampler(-1.0, 1.0),
-            p=2.0,
-            mu=0.0,
         ),
         "sine": FunctionUnderTest(
             F=lambda y: float(np.sin(y[0])),
             grad_F=lambda y: np.array([np.cos(y[0])]),
             domain_sampler=_interval_sampler(0.0, np.pi),
-            p=2.0,
             mu=0.1,
         ),
         "exp-square": FunctionUnderTest(
             F=lambda y: float(np.exp(y[0] ** 2)),
             g=lambda u: u * u,
             domain_sampler=_interval_sampler(0.0, 2.0),
-            p=2.0,
-            mu=0.0,
         ),
         "erf-sqrt": FunctionUnderTest(
             F=lambda y: math.erf(math.sqrt(y[0])),
             domain_sampler=_interval_sampler(1e-6, 4.0),
-            p=2.0,
-            mu=0.0,
         ),
         "log1p-square": FunctionUnderTest(
             F=lambda y: float(np.log1p(y[0] ** 2)),
             domain_sampler=_interval_sampler(-1.0, 1.0),
-            p=2.0,
-            mu=0.0,
         ),
         "abs-sqrt": FunctionUnderTest(
             F=lambda y: float(np.sqrt(abs(y[0]))),
             domain_sampler=_interval_sampler(-1.0, 1.0),
-            p=2.0,
-            mu=0.0,
         ),
     }

@@ -453,19 +453,18 @@ def default_rho(problem):
     return 0.5 / lip
 
 
-def prepare_solve(problem, config, u0, default=default_rho, fixed=False):
+def prepare_solve(problem, config, u0, default=default_rho):
     """How every solve starts: its config, its step scalar rho and its start point.
 
     The config is ``SolveConfig()`` when None.  rho is ``config.rho``,
-    or ``default`` when that is None or ``fixed`` is set; ``default`` is
-    a number, or a function of the problem such as :func:`default_rho`
-    (the Lipschitz probe of the residual family, which learns rho from
-    there on; see :func:`iterate_residual`).  The start point is a
-    private copy of u0, or the projection of the origin onto K when u0
-    is None.
+    or ``default`` when that is None; ``default`` is a number, or a
+    function of the problem such as :func:`default_rho` (the Lipschitz
+    probe of the residual family, which learns rho from there on; see
+    :func:`iterate_residual`).  The start point is a private copy of u0,
+    or the projection of the origin onto K when u0 is None.
     """
     config = SolveConfig() if config is None else config
-    rho = default if fixed or config.rho is None else config.rho
+    rho = default if config.rho is None else config.rho
     if callable(rho):
         rho = rho(problem)
     if u0 is None:
@@ -623,7 +622,7 @@ def iterate(u, norm, step, config, details, info=None, lyapunov=None):
     )
 
 
-def iterate_residual(problem, config, rho, u, update, details, lyapunov=None, _fixed=False):
+def iterate_residual(problem, config, rho, u, update, details, lyapunov=None):
     """Run :func:`iterate` on the projection residual.
 
     ``update(u, s, k) -> (u_next, info, t_next)`` takes step k from the
@@ -632,9 +631,9 @@ def iterate_residual(problem, config, rho, u, update, details, lyapunov=None, _f
     when the step already evaluated it, else None.  The stage at each new
     iterate serves both the stop test and the next step.
 
-    Every stage has rho when ``config.rho`` gives it, or when ``_fixed``
-    says that the solver's default stands in for it, as in
-    :func:`prepare_solve`.  Otherwise rho = rho_0 came from the Lipschitz
+    Every stage has rho when ``config.rho`` gives it; a solver whose rho
+    is fixed whatever the caller asks (the double-projection pair) sets
+    ``config.rho`` to it.  Otherwise rho = rho_0 came from the Lipschitz
     probe, and the stage at u_{k+1} has the learned step of Malitsky and Mishchenko (Adaptive
     gradient descent without descent, ICML 2020)
 
@@ -648,7 +647,7 @@ def iterate_residual(problem, config, rho, u, update, details, lyapunov=None, _f
     stage.
     """
     s = projection_stage(problem, u, rho)
-    learn = config.rho is None and not _fixed
+    learn = config.rho is None
 
     def step(u, k):
         nonlocal s

@@ -8,7 +8,7 @@ with the separating hyperplane found by the search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -90,7 +90,9 @@ def _search_step(problem, u, s, config):
 def _solve_double_projection(problem, config, u0, optimal):
     if optimal:
         check_intersection_base(problem.K)
-    config, rho, u = prepare_solve(problem, config, u0, default=1.0, fixed=True)
+    # Both methods take rho = 1 whatever config.rho says, so rho is not learned.
+    config, _, u = prepare_solve(problem, config, u0, default=1.0)
+    config = replace(config, rho=1.0)
 
     def update(u, s, k):
         d, dsq, alpha, c, search = _search_step(problem, u, s, config)
@@ -109,7 +111,7 @@ def _solve_double_projection(problem, config, u0, optimal):
         return recover_iterate(problem, u, g_next), info, None
 
     details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
-    return iterate_residual(problem, config, rho, u, update, details, _fixed=True)
+    return iterate_residual(problem, config, config.rho, u, update, details)
 
 
 def solve_double_projection_basic(problem, config=None, u0=None):

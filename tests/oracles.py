@@ -4,8 +4,8 @@ Expected values are re-derived through routes that share no code with
 the package: brute-force grid search for small variational
 inequalities, symbolic algebra for norm identities, finite differences
 for gradients and third derivatives, direct evaluation of printed
-closed forms, per-entry loops that the obstacle module's array code
-must reproduce bit for bit, the dense matrix and dense solve that
+closed forms, per-entry loops that the obstacle module's and the
+convexity sweep's array code must reproduce bit for bit, the dense matrix and dense solve that
 example3's stencil and closed-form solution replace, enumeration of
 every active set for the projection onto a box or simplex cut by a
 hyperplane, and, at sizes no enumeration reaches, a check of that
@@ -279,3 +279,69 @@ def kkt_cut_residual(base, a, b, z, anchor, x):
     coordinate_miss = float(np.max(np.abs(x - expected) / np.maximum(scale, np.finfo(float).tiny)))
     cut_miss = abs(float(a @ (x - ref)) - b) / (float(np.abs(a) @ (np.abs(x) + np.abs(ref))) + abs(b))
     return max(coordinate_miss, outside, cut_miss)
+
+
+def _triple_legs(kind, fut, yu, yv, Fu, Fv, eu, ev, gap, t, strong):
+    """(violation, legs) of one triple by the scalar formulas, Python floats throughout."""
+    if kind == "hos":
+        p, mu = fut.p, fut.mu
+        bound = (1.0 - t) * Fu + t * Fv - mu * (t**p * (1.0 - t) + t * (1.0 - t) ** p) * gap**p
+        return fut.value(yu + t * (yv - yu)) - bound, {}
+    if kind == "gradient":
+        grad_u, grad_v = fut.gradient(yu), fut.gradient(yv)
+        lower = Fu + float(grad_u @ (yv - yu)) + fut.mu * gap**fut.p - Fv
+        mono = 2.0 * fut.mu * gap**fut.p - float((grad_u - grad_v) @ (yu - yv))
+        return (np.nan if np.isnan(mono) else max(lower, mono)), {}
+    e_mid = float(np.exp(fut.value(yu + t * (yv - yu))))
+    if kind == "exp":
+        mu = fut.mu if strong else 0.0
+        legs = {"curve": e_mid - ((1.0 - t) * eu + t * ev - (mu * t * (1.0 - t) * gap**2 if strong else 0.0))}
+        if fut.grad_F is not None:
+            legs["differential"] = float(eu * fut.gradient(yu) @ (yv - yu)) + mu * gap**2 - (ev - eu)
+        return max(legs.values()), legs
+    legs = {"convex": e_mid - ((1.0 - t) * eu + t * ev), "quasi": e_mid - max(eu, ev)}
+    worst = -np.inf
+    if Fu > 0 and Fv > 0:
+        legs["log"] = e_mid - eu ** (1.0 - t) * ev**t
+        if legs["log"] <= 1e-12:
+            worst = max(worst, legs["convex"])
+    if legs["convex"] <= 1e-12:
+        worst = max(worst, legs["quasi"])
+    return worst, legs
+
+
+def loop_certificate(kind, fut, samples, seed, t_grid, strong=False):
+    """A convexity sweep as a per-triple loop.
+
+    kind is "hos", "gradient", "exp" or "hierarchy".  Draws u, then v, per
+    sample; skips a pair whose scale (|F| or e^F at the ends) is not
+    finite, and a triple with a NaN among its values; keeps the first
+    strictly worst triple.  Returns (checked_count, worst_violation,
+    witness, verdict, low, high), with low and high the per-leg extremes.
+    """
+    rng = np.random.default_rng(seed)
+    count, worst, witness, failed, low, high = 0, -np.inf, None, False, {}, {}
+    for _ in range(samples):
+        u = fut.domain_sampler(rng)
+        v = fut.domain_sampler(rng)
+        yu, yv = fut.g_image(u), fut.g_image(v)
+        Fu, Fv = fut.value(yu), fut.value(yv)
+        with np.errstate(over="ignore"):
+            eu, ev = float(np.exp(Fu)), float(np.exp(Fv))
+        exp_scale = kind in ("exp", "hierarchy")
+        if not all(np.isfinite((eu, ev) if exp_scale else (Fu, Fv))):
+            continue
+        scale = max(eu, ev) if exp_scale else max(abs(Fu), abs(Fv))
+        gap = float(np.linalg.norm(yv - yu))
+        for t in [None] if kind == "gradient" else t_grid:
+            with np.errstate(over="ignore", invalid="ignore"):
+                viol, legs = _triple_legs(kind, fut, yu, yv, Fu, Fv, eu, ev, gap, t, strong)
+            if any(np.isnan(x) for x in (viol, *legs.values())):
+                continue
+            count += 1
+            failed = failed or viol > 1e-9 * max(1.0, scale)
+            if viol > worst:
+                worst, witness = viol, (u, v, t)
+            for leg, value in legs.items():
+                low[leg], high[leg] = min(low.get(leg, np.inf), value), max(high.get(leg, -np.inf), value)
+    return count, worst, witness, "fail" if failed else "pass", low, high

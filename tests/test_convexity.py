@@ -23,6 +23,7 @@ from gvikit.convexity_lab import (
     parallelogram_violation,
 )
 from gvikit.errors import NumericDomainError
+from oracles import loop_certificate
 
 
 @pytest.fixture(scope="module")
@@ -311,3 +312,63 @@ def test_gradient_and_hierarchy_witnesses_reproduce(registry):
     assert t is None and gradient_char_violation(registry["sine"], u, v) == grad.worst_violation
     hier = check_hierarchy(registry["abs-sqrt"], samples=100)
     assert hierarchy_violation(registry["abs-sqrt"], *hier.witness) == hier.worst_violation
+
+
+def _redrawn_pairs(samples, seed=0):
+    """The pairs a sweep draws on uniform(-1, 1, 1): u, then v, per sample."""
+    rng = np.random.default_rng(seed)
+    return [(rng.uniform(-1, 1, 1)[0], rng.uniform(-1, 1, 1)[0]) for _ in range(samples)]
+
+
+def test_gradient_check_skips_pairs_with_a_nan_gradient_at_either_end():
+    # A NaN gradient at v leaves only the monotonicity leg NaN; the pair
+    # must still test nothing.
+    fut = FunctionUnderTest(
+        F=lambda y: float(y @ y),
+        grad_F=lambda y: np.array([np.nan]) if y[0] > 0.5 else 2.0 * y,
+        domain_sampler=lambda rng: rng.uniform(-1, 1, 1),
+    )
+    both_defined = sum(u <= 0.5 and v <= 0.5 for u, v in _redrawn_pairs(200))
+    assert both_defined == 96
+    assert check_gradient_char(fut, samples=200).checked_count == both_defined
+
+
+def test_a_nan_end_costs_only_its_two_end_evaluations():
+    fut, calls = _counted(FunctionUnderTest(
+        F=lambda y: np.nan if y[0] > 0.9 else float(y[0] ** 2),
+        domain_sampler=lambda rng: rng.uniform(-1, 1, 1),
+    ))
+    finite = sum(u <= 0.9 and v <= 0.9 for u, v in _redrawn_pairs(200))
+    n_t = len(default_t_grid())
+    report = check_hos_convex(fut, samples=200)
+    assert report.checked_count == n_t * finite == 1958
+    assert calls["F"] == 2 * 200 + n_t * finite == 2358
+
+
+@pytest.mark.parametrize("kind, fid, strong, t_grid", [
+    ("hos", "sine", False, None),
+    ("hos", "quadratic", False, [0.0, 0.3, 1.0]),
+    ("gradient", "quadratic", False, None),
+    ("gradient", "sine", False, None),
+    ("exp", "quadratic", True, None),
+    ("exp", "sine", False, [0.0, 0.3, 1.0]),
+    ("exp", "exp-square", False, None),
+    ("hierarchy", "abs-sqrt", False, None),
+    ("hierarchy", "exp-square", False, [0.0, 0.3, 1.0]),
+])
+def test_sweep_reproduces_the_per_triple_loop_bit_for_bit(registry, kind, fid, strong, t_grid):
+    fut = registry[fid]
+    grid = [float(t) for t in (default_t_grid() if t_grid is None else t_grid)]
+    count, worst, witness, verdict, low, high = loop_certificate(kind, fut, 60, 5, grid, strong)
+    report = {
+        "hos": lambda: check_hos_convex(fut, samples=60, t_grid=t_grid, seed=5),
+        "gradient": lambda: check_gradient_char(fut, samples=60, seed=5),
+        "exp": lambda: check_exp_convex(fut, samples=60, t_grid=t_grid, seed=5, strong=strong),
+        "hierarchy": lambda: check_hierarchy(fut, samples=60, t_grid=t_grid, seed=5),
+    }[kind]()
+    assert (report.checked_count, report.worst_violation, report.verdict) == (count, worst, verdict)
+    assert type(report.worst_violation) is float
+    for got, expected in zip(report.witness, witness):
+        np.testing.assert_array_equal(got, expected)
+    details = {"exp": high, "hierarchy": {"log": -np.inf, **high}}.get(kind)
+    assert report.details == details
