@@ -359,7 +359,7 @@ def test_a_nan_end_costs_only_its_two_end_evaluations():
 def test_sweep_reproduces_the_per_triple_loop_bit_for_bit(registry, kind, fid, strong, t_grid):
     fut = registry[fid]
     grid = [float(t) for t in (default_t_grid() if t_grid is None else t_grid)]
-    count, worst, witness, verdict, low, high = loop_certificate(kind, fut, 60, 5, grid, strong)
+    count, worst, witness, verdict, high = loop_certificate(kind, fut, 60, 5, grid, strong)
     report = {
         "hos": lambda: check_hos_convex(fut, samples=60, t_grid=t_grid, seed=5),
         "gradient": lambda: check_gradient_char(fut, samples=60, seed=5),
