@@ -90,9 +90,28 @@ class CertReport:
 _quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the sweep masks out what overflows
 
 
+@_quiet
 def _pow(x, p):
-    """x ** p elementwise by Python's float power; numpy's SIMD power may differ in the last bit."""
-    return np.frompyfunc(pow, 2, 1)(x, p).astype(float)
+    """x ** p elementwise for x >= 0 by Python's float power; numpy's SIMD power may differ in the last bit.
+
+    Python's power raises where it overflows, so only such an array is redone element by element, with inf there.
+    """
+    try:
+        return np.frompyfunc(pow, 2, 1)(x, p).astype(float)
+    except OverflowError:
+        return np.frompyfunc(_pow_or_inf, 2, 1)(x, p).astype(float)
+
+
+def _pow_or_inf(x, p):
+    try:
+        return pow(x, p)
+    except OverflowError:
+        return math.inf
+
+
+def _growth(coef, power):
+    """coef * power, exactly 0 where coef is 0 even if the power overflowed to inf."""
+    return np.where(coef == 0.0, 0.0, coef * power)
 
 
 def _rowdot(a, b):
@@ -130,7 +149,7 @@ def _hos(fut, pairs, t):
     yu, yv, Fu, Fv, gap = _ends(fut, pairs)
     scale = np.maximum(abs(Fu), abs(Fv))
     p, s = fut.p, 1.0 - t
-    growth = fut.mu * (_pow(t, p) * s + t * _pow(s, p)) * _pow(gap, p)[:, None]
+    growth = _growth(fut.mu * (_pow(t, p) * s + t * _pow(s, p)), _pow(gap, p)[:, None])
     bound = s * Fu[:, None] + t * Fv[:, None] - growth
     return scale, _blend(fut, yu, yv, t, scale) - bound, {}
 
@@ -141,9 +160,9 @@ def _gradient_char(fut, pairs, t=None):
     yu, yv, Fu, Fv, gap = _ends(fut, pairs)
     scale = np.maximum(abs(Fu), abs(Fv))
     grad_u, grad_v = (_gradients(fut, y, scale) for y in (yu, yv))
-    growth = _pow(gap, fut.p)
-    lower = Fu + _rowdot(grad_u, yv - yu) + fut.mu * growth - Fv
-    mono = 2.0 * fut.mu * growth - _rowdot(grad_u - grad_v, yu - yv)
+    power = _pow(gap, fut.p)
+    lower = Fu + _rowdot(grad_u, yv - yu) + _growth(fut.mu, power) - Fv
+    mono = _growth(2.0 * fut.mu, power) - _rowdot(grad_u - grad_v, yu - yv)
     return scale, np.maximum(lower, mono)[:, None], {}
 
 
@@ -153,7 +172,7 @@ def _parallelogram(p, mu, pairs, t=None):
     u, v = (np.array([np.atleast_1d(np.asarray(w, dtype=float)) for w in ends]) for ends in zip(*pairs))
     plus, gap, pu, pv = (_pow(np.sqrt(_rowdot(x, x)), p) for x in (u + v, v - u, u, v))
     rhs = 2.0 ** (p - 1.0) * (pu + pv)
-    viol = plus + mu * gap - rhs
+    viol = plus + _growth(mu, gap) - rhs
     quotient = np.where(gap > 1e-12, (rhs - plus) / gap, np.nan)
     return abs(rhs), viol[:, None], {"equality_violation": abs(viol)[:, None], "quotient": quotient[:, None]}
 
@@ -166,11 +185,11 @@ def _exp_convex(fut, pairs, t, strong, differential):
     scale = np.maximum(eu, ev)[:, 0]
     mu = fut.mu if strong else 0.0
     gap_sq = _pow(gap, 2.0)[:, None]
-    bound = (1.0 - t) * eu + t * ev - (mu * t * (1.0 - t) * gap_sq if strong else 0.0)
+    bound = (1.0 - t) * eu + t * ev - _growth(mu * t * (1.0 - t), gap_sq)
     viol = np.exp(_blend(fut, yu, yv, t, scale)) - bound
     legs = {"curve": viol}
     if differential:
-        lhs = _rowdot(eu * _gradients(fut, yu, scale), yv - yu)[:, None] + mu * gap_sq
+        lhs = _rowdot(eu * _gradients(fut, yu, scale), yv - yu)[:, None] + _growth(mu, gap_sq)
         legs["differential"] = lhs - (ev - eu)
         viol = np.maximum(viol, legs["differential"])
     return scale, viol, legs

@@ -173,7 +173,7 @@ class SolveConfig:
         Floor of the stop test of the inner fixed-point loops of implicit
         schemes, which otherwise stop relative to their first step (see
         :func:`inner_fixed_point`); also the bound on the distance of each
-        higher-order power subproblem's answer from its minimizer.
+        two-step higher-order power subproblem's answer from its minimizer.
     inner_max_iters : int
         Cap for the inner fixed-point loops only.
     alpha_schedule : float or callable, optional

@@ -6,8 +6,8 @@ first-class capability: the caller supplies an oracle and the solvers
 drive it.  The linear/projection reduction ships as the only built-in.
 The oracle solvers take rho = 1 when config.rho is None, with no
 Lipschitz probe.
-The higher-order family regularizes each half-step with a p-th power
-penalty and solves it by a bracketed root search on one scalar.
+The higher-order two-step half-steps are p-th power subproblems solved by
+a bracketed root search on one scalar; the implicit mode is a resolvent step.
 """
 
 from __future__ import annotations
@@ -277,11 +277,10 @@ def solve_varlike(problem, config=None, u0=None):
     return iterate(u, np.inf, step, config, {"algorithm": "varlike", "rho": rho})
 
 
-def _power_subproblem(problem, anchor, center, rho, config, Ta=None):
+def _power_subproblem(problem, anchor, center, rho, config):
     """Minimize rho*<T(anchor), v> + (1/2)||v - center||^2 + (nu/p)||v - anchor||^p over K.
 
-    ``Ta``, when given, is T(anchor) already known to the caller.  For
-    p != 2 the minimizer is V(tau) = P_K[a + tau*(q - a)], q = center - rho*Ta,
+    For p != 2 the minimizer is V(tau) = P_K[a + tau*(q - a)], q = center - rho*Ta,
     at the one root tau in (0, 1] of psi(tau) = nu*tau*||V(tau) - a||^(p-2) + tau - 1:
     the optimality condition with tau = 1/(1 + nu*||v - a||^(p-2)).  Illinois regula
     falsi from psi(0+) = -1 <= psi(1) stops at (hi - lo)*||q - a|| <= inner_tol, so, as
@@ -289,8 +288,7 @@ def _power_subproblem(problem, anchor, center, rho, config, Ta=None):
     """
     base = problem.base
     p, nu = problem.p, problem.nu
-    if Ta is None:
-        Ta = effective_T(base, anchor)
+    Ta = effective_T(base, anchor)
     if p == 2.0:
         return project(base.K, (center + nu * anchor - rho * Ta) / (1.0 + nu))
 
@@ -326,10 +324,10 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     mode="two_step" runs two self-anchored half-steps per iteration:
     y = sub(anchor=u_n, center=u_n), then u+ = sub(anchor=y, center=y);
     for p = 2, nu = 0 each half-step is exactly a projection.
-    mode="implicit" instead solves the proximal relation
-    u+ = sub(anchor=u+, center=u_n) by fixed-point iteration, which
-    satisfies <rho*T(u+) + u+ - u_n, v - u+> >= 0 on K.  Both stop on
-    the displacement ||u+ - u_n|| <= tol.
+    mode="implicit" instead solves u+ = sub(anchor=u+, center=u_n), where the
+    penalty's gradient is 0: whatever p and nu are, u+ is the proximal-point
+    resolvent (I + rho*T + N_K)^{-1}(u_n), the fixed point of
+    w -> P_K[u_n - rho*T(P_K w)].  Both modes stop on ||u+ - u_n|| <= tol.
 
     Parameters
     ----------
@@ -358,15 +356,15 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     last = None  # (anchor, T(anchor)) of the last implicit inner evaluation
 
     def implicit_map(w, center):
-        # Composed with P_K, which keeps its fixed points: T is evaluated
-        # only in K, whatever the accelerated trial w.  A trial can land on
-        # the fixed point itself; then the next step's first anchor is the
-        # point returned, and T there is already known.
+        # The resolvent map, composed with P_K, which keeps its fixed points:
+        # T is evaluated only in K, whatever the accelerated trial w.  A trial
+        # can land on the fixed point itself; then the next step's first
+        # anchor is the point returned, and T there is already known.
         nonlocal last
         anchor = project(base.K, w)
         if last is None or not np.array_equal(last[0], anchor):
             last = anchor, effective_T(base, anchor)
-        return _power_subproblem(problem, anchor, center, rho, config, Ta=last[1])
+        return project(base.K, center - rho * last[1])
 
     def step(u, k):
         if mode == "two_step":

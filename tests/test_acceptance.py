@@ -33,12 +33,13 @@ from gvikit.convexity_lab import (
     check_hos_convex,
     check_parallelogram,
 )
-from gvikit.core import SolveConfig
+from gvikit.core import SolveConfig, residual
 from gvikit.equilibrium import (
     EquilibriumProblem,
     HigherOrderProblem,
     VarLikeProblem,
     projection_aux_oracle,
+    solve_eq_inertial,
     solve_eq_predictor_corrector,
     solve_higher_order,
     solve_varlike,
@@ -284,6 +285,36 @@ def test_scheme_reductions_coincide(example4_5):
     ts = solve_two_step(example4_5, SolveConfig(rho=0.5, beta_step=0.5, tol=1e-16, max_iters=10,
                                                 lam=0.0, xi=0.0))
     assert np.max(np.abs(ts.solution - plain.solution)) <= 1e-10
+
+
+@pytest.mark.parametrize("pid, n", [("example3", 10), ("example3", 100), ("example4", 10), ("example4", 100)])
+def test_higher_order_implicit_is_the_resolvent_step(pid, n):
+    # The power term's gradient vanishes at v = anchor, so at the implicit
+    # fixed point u+ = (I + rho*T + N_K)^{-1}(u_n) whatever p and nu are:
+    # the eq-inertial step with alpha = 0 and the projection oracle.
+    base = build_problem(ProblemSpec(pid, n=n))
+    cfg = SolveConfig(rho=0.1)
+    ep = EquilibriumProblem(dim=base.dim, F=lambda u, y: float(base.T(u) @ (y - u)), K=base.K,
+                            aux_oracle=projection_aux_oracle(base.T, base.K))
+    resolvent = solve_eq_inertial(ep, cfg)
+    assert resolvent.converged
+    for p in (1.5, 2.0, 3.0, 4.0):
+        for nu in (0.0, 0.5, 2.0):
+            hp = HigherOrderProblem(base=base, p=p, mu=0.5, nu=nu)
+            implicit = solve_higher_order(hp, cfg, mode="implicit")
+            assert implicit.iterations == resolvent.iterations
+            assert np.array_equal(implicit.solution, resolvent.solution)
+
+
+def test_higher_order_implicit_converges_on_example4_at_p_below_two():
+    # An inner map through the p < 2 power subproblem is not Lipschitz at
+    # its fixed point and stalls here; the resolvent map contracts at rho*L.
+    base = build_problem(ProblemSpec("example4", n=100))
+    cfg = SolveConfig(rho=0.1)
+    report = solve_higher_order(HigherOrderProblem(base=base, p=1.5, mu=0.5), cfg, mode="implicit")
+    assert report.converged
+    assert report.iterations == 145
+    assert np.linalg.norm(residual(base, report.solution, 0.1)) <= cfg.tol
 
 
 def test_convexity_exact_cases():

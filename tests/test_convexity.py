@@ -8,6 +8,7 @@ import pytest
 
 from gvikit.convexity_lab import (
     FunctionUnderTest,
+    _pow,
     builtin_functions,
     check_exp_convex,
     check_gradient_char,
@@ -287,6 +288,27 @@ def test_one_huge_value_does_not_set_the_tolerance_of_every_triple():
         domain_sampler=lambda rng: rng.uniform(-6.0, 6.0, 1),
     )
     assert check_exp_convex(fut, samples=200).verdict == "fail"
+
+
+@pytest.mark.parametrize("scale", [1e110, 1e200])
+@pytest.mark.parametrize("check", [check_hos_convex, check_gradient_char])
+def test_an_overflowing_growth_term_is_judged(check, scale):
+    # ||g(v) - g(u)||^3 overflows: Python's pow raises at 1e110, and at 1e200
+    # the gap itself is inf.  The growth term is then inf, or exactly 0 at
+    # mu = 0, where F = 0 meets the inequality on every sample.
+    def fut(mu):
+        return FunctionUnderTest(F=lambda y: 0.0, domain_sampler=lambda rng: scale * rng.uniform(-1, 1, 1),
+                                 p=3.0, mu=mu)
+
+    assert check(fut(0.0), samples=5).verdict == "pass"
+    strong = check(fut(0.5), samples=5)
+    assert strong.verdict == "fail" and strong.worst_violation == np.inf
+
+
+def test_power_is_python_pow_with_inf_for_overflow():
+    x = np.array([0.0, 0.3, 1.7, 1e110, np.inf])
+    powers = _pow(x, 3.0)
+    assert powers.tolist() == [pow(0.0, 3.0), pow(0.3, 3.0), pow(1.7, 3.0), np.inf, np.inf]
 
 
 @pytest.mark.parametrize("check", [check_exp_convex, check_hierarchy])

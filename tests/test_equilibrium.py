@@ -11,6 +11,7 @@ from gvikit import (
     VarLikeProblem,
     diagonal_kernel_oracle,
     projection_aux_oracle,
+    residual,
     solve_eq_inertial,
     solve_eq_predictor_corrector,
     solve_higher_order,
@@ -292,9 +293,11 @@ def test_higher_order_subproblem_meets_its_optimality_condition(K, p):
 
 def test_higher_order_implicit_converges_at_p_below_two(example3_10):
     hp = HigherOrderProblem(base=example3_10, p=1.5, mu=0.5)
-    report = solve_higher_order(hp, SolveConfig(rho=0.1), mode="implicit")
+    config = SolveConfig(rho=0.1)
+    report = solve_higher_order(hp, config, mode="implicit")
     assert report.converged
     assert np.max(np.abs(report.solution - example3_10.known_solution)) <= 1e-4
+    assert np.linalg.norm(residual(example3_10, report.solution, 0.1)) <= config.tol
 
 
 @pytest.mark.parametrize("mode, iterations", [("two_step", 35), ("implicit", 79)])
