@@ -90,16 +90,9 @@ class CertReport:
 _quiet = np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the sweep masks out what overflows
 
 
-@_quiet
 def _pow(x, p):
-    """x ** p elementwise for x >= 0 by Python's float power; numpy's SIMD power may differ in the last bit.
-
-    Python's power raises where it overflows, so only such an array is redone element by element, with inf there.
-    """
-    try:
-        return np.frompyfunc(pow, 2, 1)(x, p).astype(float)
-    except OverflowError:
-        return np.frompyfunc(_pow_or_inf, 2, 1)(x, p).astype(float)
+    """x ** p elementwise by Python's float power (numpy's may differ in the last bit), inf where it overflows."""
+    return np.frompyfunc(_pow_or_inf, 2, 1)(x, p).astype(float)
 
 
 def _pow_or_inf(x, p):
@@ -171,7 +164,7 @@ def _parallelogram(p, mu, pairs, t=None):
     """Lower law per pair; the legs are its size and the modulus that makes it tight, if ||v-u||^p > 1e-12."""
     u, v = (np.array([np.atleast_1d(np.asarray(w, dtype=float)) for w in ends]) for ends in zip(*pairs))
     plus, gap, pu, pv = (_pow(np.sqrt(_rowdot(x, x)), p) for x in (u + v, v - u, u, v))
-    rhs = 2.0 ** (p - 1.0) * (pu + pv)
+    rhs = _pow_or_inf(2.0, p - 1.0) * (pu + pv)
     viol = plus + _growth(mu, gap) - rhs
     quotient = np.where(gap > 1e-12, (rhs - plus) / gap, np.nan)
     return abs(rhs), viol[:, None], {"equality_violation": abs(viol)[:, None], "quotient": quotient[:, None]}
@@ -418,54 +411,46 @@ def check_hierarchy(fut, samples=200, t_grid=None, seed=0):
                   lambda low, high: {"log": -np.inf, **high})
 
 
-def _interval_sampler(lo, hi):
-    return lambda rng: rng.uniform(lo, hi, 1)
-
-
-def _ball_sampler(dim, radius=2.0):
-    return lambda rng: rng.uniform(-radius, radius, dim)
-
-
 def builtin_functions():
     """Registry of ready-made FunctionUnderTest instances by id."""
     return {
         "quadratic": FunctionUnderTest(
             F=lambda y: float(y @ y),
             grad_F=lambda y: 2.0 * np.asarray(y, dtype=float),
-            domain_sampler=_ball_sampler(3),
+            domain_sampler=lambda rng: rng.uniform(-2.0, 2.0, 3),
             mu=1.0,
         ),
         "affine": FunctionUnderTest(
             F=lambda y: float(np.sum(y)) + 1.0,
             grad_F=lambda y: np.ones(np.atleast_1d(y).size),
-            domain_sampler=_ball_sampler(3),
+            domain_sampler=lambda rng: rng.uniform(-2.0, 2.0, 3),
         ),
         "quartic": FunctionUnderTest(
             F=lambda y: float(y[0] ** 4),
             grad_F=lambda y: np.array([4.0 * y[0] ** 3]),
-            domain_sampler=_interval_sampler(-1.0, 1.0),
+            domain_sampler=lambda rng: rng.uniform(-1.0, 1.0, 1),
         ),
         "sine": FunctionUnderTest(
             F=lambda y: float(np.sin(y[0])),
             grad_F=lambda y: np.array([np.cos(y[0])]),
-            domain_sampler=_interval_sampler(0.0, np.pi),
+            domain_sampler=lambda rng: rng.uniform(0.0, np.pi, 1),
             mu=0.1,
         ),
         "exp-square": FunctionUnderTest(
             F=lambda y: float(np.exp(y[0] ** 2)),
             g=lambda u: u * u,
-            domain_sampler=_interval_sampler(0.0, 2.0),
+            domain_sampler=lambda rng: rng.uniform(0.0, 2.0, 1),
         ),
         "erf-sqrt": FunctionUnderTest(
             F=lambda y: math.erf(math.sqrt(y[0])),
-            domain_sampler=_interval_sampler(1e-6, 4.0),
+            domain_sampler=lambda rng: rng.uniform(1e-6, 4.0, 1),
         ),
         "log1p-square": FunctionUnderTest(
             F=lambda y: float(np.log1p(y[0] ** 2)),
-            domain_sampler=_interval_sampler(-1.0, 1.0),
+            domain_sampler=lambda rng: rng.uniform(-1.0, 1.0, 1),
         ),
         "abs-sqrt": FunctionUnderTest(
             F=lambda y: float(np.sqrt(abs(y[0]))),
-            domain_sampler=_interval_sampler(-1.0, 1.0),
+            domain_sampler=lambda rng: rng.uniform(-1.0, 1.0, 1),
         ),
     }

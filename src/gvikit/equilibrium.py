@@ -355,24 +355,21 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     config, rho, u = prepare_solve(base, config, u0)
     last = None  # (anchor, T(anchor)) of the last implicit inner evaluation
 
-    def implicit_map(w, center):
-        # The resolvent map, composed with P_K, which keeps its fixed points:
-        # T is evaluated only in K, whatever the accelerated trial w.  A trial
-        # can land on the fixed point itself; then the next step's first
-        # anchor is the point returned, and T there is already known.
-        nonlocal last
-        anchor = project(base.K, w)
-        if last is None or not np.array_equal(last[0], anchor):
-            last = anchor, effective_T(base, anchor)
-        return project(base.K, center - rho * last[1])
-
     def step(u, k):
+        # The resolvent map, composed with P_K (which keeps its fixed points) so T sees only K;
+        # if a trial lands on the fixed point, T at the next step's first anchor is known.
+        def resolvent_map(w):
+            nonlocal last
+            anchor = project(base.K, w)
+            if last is None or not np.array_equal(last[0], anchor):
+                last = anchor, effective_T(base, anchor)
+            return project(base.K, u - rho * last[1])
+
         if mode == "two_step":
             y = _power_subproblem(problem, u, u, rho, config)
             u_next = _power_subproblem(problem, y, y, rho, config)
         else:
-            u_next, _ = inner_fixed_point(lambda w: implicit_map(w, u), u.copy(), config,
-                                          "higher-order implicit step", k)
+            u_next, _ = inner_fixed_point(resolvent_map, u.copy(), config, "higher-order implicit step", k)
         check_divergence(u_next)
         step_sq = vector_norm(u_next - u) ** 2
         return u_next, np.sqrt(step_sq), {"step_sq": step_sq}

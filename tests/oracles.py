@@ -13,6 +13,7 @@ projection's optimality conditions.
 """
 
 import itertools
+import math
 
 import numpy as np
 import sympy as sp
@@ -281,23 +282,38 @@ def kkt_cut_residual(base, a, b, z, anchor, x):
     return max(coordinate_miss, outside, cut_miss)
 
 
+def _power(x, p):
+    """x ** p, inf where Python's float power overflows."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def _growth(coef, power):
+    """coef * power, exactly 0 for a zero coefficient even where the power is inf."""
+    return 0.0 if coef == 0.0 else coef * power
+
+
 def _triple_legs(kind, fut, yu, yv, Fu, Fv, eu, ev, gap, t, strong):
     """(violation, legs) of one triple by the scalar formulas, Python floats throughout."""
     if kind == "hos":
         p, mu = fut.p, fut.mu
-        bound = (1.0 - t) * Fu + t * Fv - mu * (t**p * (1.0 - t) + t * (1.0 - t) ** p) * gap**p
+        weight = mu * (_power(t, p) * (1.0 - t) + t * _power(1.0 - t, p))
+        bound = (1.0 - t) * Fu + t * Fv - _growth(weight, _power(gap, p))
         return fut.value(yu + t * (yv - yu)) - bound, {}
     if kind == "gradient":
         grad_u, grad_v = fut.gradient(yu), fut.gradient(yv)
-        lower = Fu + float(grad_u @ (yv - yu)) + fut.mu * gap**fut.p - Fv
-        mono = 2.0 * fut.mu * gap**fut.p - float((grad_u - grad_v) @ (yu - yv))
+        power = _power(gap, fut.p)
+        lower = Fu + float(grad_u @ (yv - yu)) + _growth(fut.mu, power) - Fv
+        mono = _growth(2.0 * fut.mu, power) - float((grad_u - grad_v) @ (yu - yv))
         return (np.nan if np.isnan(mono) else max(lower, mono)), {}
     e_mid = float(np.exp(fut.value(yu + t * (yv - yu))))
     if kind == "exp":
         mu = fut.mu if strong else 0.0
-        legs = {"curve": e_mid - ((1.0 - t) * eu + t * ev - (mu * t * (1.0 - t) * gap**2 if strong else 0.0))}
+        legs = {"curve": e_mid - ((1.0 - t) * eu + t * ev - _growth(mu * t * (1.0 - t), _power(gap, 2.0)))}
         if fut.grad_F is not None:
-            legs["differential"] = float(eu * fut.gradient(yu) @ (yv - yu)) + mu * gap**2 - (ev - eu)
+            legs["differential"] = float(eu * fut.gradient(yu) @ (yv - yu)) + _growth(mu, _power(gap, 2.0)) - (ev - eu)
         return max(legs.values()), legs
     legs = {"convex": e_mid - ((1.0 - t) * eu + t * ev), "quasi": e_mid - max(eu, ev)}
     worst = -np.inf
@@ -328,11 +344,11 @@ def loop_certificate(kind, fut, samples, seed, t_grid, strong=False):
         Fu, Fv = fut.value(yu), fut.value(yv)
         with np.errstate(over="ignore"):
             eu, ev = float(np.exp(Fu)), float(np.exp(Fv))
+            gap = float(np.linalg.norm(yv - yu))  # inf where the squared norm overflows
         exp_scale = kind in ("exp", "hierarchy")
         if not all(np.isfinite((eu, ev) if exp_scale else (Fu, Fv))):
             continue
         scale = max(eu, ev) if exp_scale else max(abs(Fu), abs(Fv))
-        gap = float(np.linalg.norm(yv - yu))
         for t in [None] if kind == "gradient" else t_grid:
             with np.errstate(over="ignore", invalid="ignore"):
                 viol, legs = _triple_legs(kind, fut, yu, yv, Fu, Fv, eu, ev, gap, t, strong)

@@ -290,24 +290,32 @@ def test_one_huge_value_does_not_set_the_tolerance_of_every_triple():
     assert check_exp_convex(fut, samples=200).verdict == "fail"
 
 
+def _flat(scale, mu):
+    """F = 0 with p = 3 on uniform(-1, 1, 1)*scale."""
+    return FunctionUnderTest(F=lambda y: 0.0, domain_sampler=lambda rng: scale * rng.uniform(-1, 1, 1), p=3.0, mu=mu)
+
+
 @pytest.mark.parametrize("scale", [1e110, 1e200])
 @pytest.mark.parametrize("check", [check_hos_convex, check_gradient_char])
 def test_an_overflowing_growth_term_is_judged(check, scale):
     # ||g(v) - g(u)||^3 overflows: Python's pow raises at 1e110, and at 1e200
     # the gap itself is inf.  The growth term is then inf, or exactly 0 at
     # mu = 0, where F = 0 meets the inequality on every sample.
-    def fut(mu):
-        return FunctionUnderTest(F=lambda y: 0.0, domain_sampler=lambda rng: scale * rng.uniform(-1, 1, 1),
-                                 p=3.0, mu=mu)
-
-    assert check(fut(0.0), samples=5).verdict == "pass"
-    strong = check(fut(0.5), samples=5)
+    assert check(_flat(scale, 0.0), samples=5).verdict == "pass"
+    strong = check(_flat(scale, 0.5), samples=5)
     assert strong.verdict == "fail" and strong.worst_violation == np.inf
+
+
+def test_parallelogram_with_an_overflowing_constant_tests_nothing():
+    # 2^(p-1) overflows for p > 1025, so every right-hand side is inf.
+    with pytest.raises(NumericDomainError):
+        check_parallelogram(2000.0, 0.0, samples=5)
 
 
 def test_power_is_python_pow_with_inf_for_overflow():
     x = np.array([0.0, 0.3, 1.7, 1e110, np.inf])
-    powers = _pow(x, 3.0)
+    with np.errstate(over="ignore"):  # as in every sweep: the raised overflow leaves its flag set
+        powers = _pow(x, 3.0)
     assert powers.tolist() == [pow(0.0, 3.0), pow(0.3, 3.0), pow(1.7, 3.0), np.inf, np.inf]
 
 
@@ -377,9 +385,12 @@ def test_a_nan_end_costs_only_its_two_end_evaluations():
     ("exp", "exp-square", False, None),
     ("hierarchy", "abs-sqrt", False, None),
     ("hierarchy", "exp-square", False, [0.0, 0.3, 1.0]),
+    *[pytest.param(kind, (scale, mu), False, None, id=f"{kind}-flat-{scale:g}-mu{mu:g}")
+      for kind in ("hos", "gradient") for scale in (1e110, 1e200) for mu in (0.0, 0.5)],
 ])
 def test_sweep_reproduces_the_per_triple_loop_bit_for_bit(registry, kind, fid, strong, t_grid):
-    fut = registry[fid]
+    # The flat cases overflow the growth power: inf, or exactly 0 at mu = 0.
+    fut = registry[fid] if isinstance(fid, str) else _flat(*fid)
     grid = [float(t) for t in (default_t_grid() if t_grid is None else t_grid)]
     count, worst, witness, verdict, high = loop_certificate(kind, fut, 60, 5, grid, strong)
     report = {
