@@ -55,14 +55,36 @@ class ObstacleProblem:
 class SplineSystem:
     """Banded system in the interior grid values s_1 ... s_n.
 
-    matrix holds the diagonal-ordered band (1 superdiagonal, 2
-    subdiagonals) accepted by banded LU; rhs the right-hand side.
+    matrix holds the diagonal-ordered band of the n x n matrix A, with 1
+    superdiagonal and 2 subdiagonals: matrix[1 + i - j, j] = A[i, j],
+    and the corners outside A are zero.  rhs is the right-hand side.
+    solve_grid solves it by band LU with partial pivoting.
     """
 
     n: int
     h: float
     matrix: np.ndarray
     rhs: np.ndarray
+
+
+@dataclass(frozen=True)
+class PiecewiseCubic:
+    """Piecewise cubic on the breakpoints x.
+
+    Column i of c holds (a_i, b_i, c_i, d_i), the piece a_i t^3 + b_i t^2
+    + c_i t + d_i in t = x - x_i on [x_i, x_{i+1}).  Calling it evaluates
+    at points; points outside [x_0, x_last] use the end pieces.
+    """
+
+    c: np.ndarray
+    x: np.ndarray
+
+    def __call__(self, points):
+        points = np.asarray(points, dtype=float)
+        i = np.clip(np.searchsorted(self.x, points, side="right") - 1, 0, self.c.shape[1] - 1)
+        t = points - self.x[i]
+        a, b, c, d = self.c[:, i]
+        return ((a * t + b) * t + c) * t + d
 
 
 def _grid(problem, n):
@@ -81,12 +103,21 @@ def _at_nodes(fn, x):
     return np.array([fn(xi) for xi in x], dtype=float)
 
 
-def _operator_values(problem, x, sigma, s=None):
+def _operator_values(problem, x, sigma, s):
     """T_i = f_i outside the contact region and p_i s_i + f_i + r inside."""
     t = _at_nodes(problem.f, x) + np.where(sigma, problem.r, 0.0)
-    if s is not None:
-        t = t + np.where(sigma, _at_nodes(problem.p, x) * s, 0.0)
-    return t
+    return t + np.where(sigma, _at_nodes(problem.p, x) * s, 0.0)
+
+
+def _require_finite(problem, x, f_at, p_at):
+    """Raise AssemblyError naming the first datum that is inf or nan."""
+    for name in ("r", "alpha", "beta1", "beta2"):
+        if not np.isfinite(getattr(problem, name)):
+            raise AssemblyError(f"{name} = {getattr(problem, name)} is not finite")
+    for name, values in (("f", f_at), ("p", p_at)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise AssemblyError(f"{name}({x[bad[0]]}) = {values[bad[0]]} is not finite")
 
 
 def assemble(problem, n):
@@ -111,12 +142,17 @@ def assemble(problem, n):
     ------
     GridError
         When n + 1 is not divisible by 4.
+    AssemblyError
+        When r, alpha, beta1, beta2, or f or p at a grid node, is inf or
+        nan; the message names that datum.
     """
     if n < 4 or (n + 1) % 4 != 0:
         raise GridError("n + 1 must be divisible by 4 (and n >= 4)")
     h, x = _grid(problem, n)
     sigma = _region_mask(problem, x)
-    t_known = _operator_values(problem, x, sigma)  # T with the p*s part left out
+    f_at, p_at = _at_nodes(problem.f, x), _at_nodes(problem.p, x)
+    _require_finite(problem, x, f_at, p_at)
+    t_known = f_at + np.where(sigma, problem.r, 0.0)  # T with the p*s part left out
     # Row i of the system (node i = 1..n) couples nodes i-2 .. i+1: the
     # stencil acts on s there and the weights on T.
     stencil = np.tile([-1.0, 3.0, -3.0, 1.0], (n, 1))
@@ -133,7 +169,7 @@ def assemble(problem, n):
     # The p*s part of T on the contact interval moves into the matrix
     # (node 0 is never in contact, as a < c, and the right closure drops
     # it at node n+1); column c of a row lands on band row 3 - c.
-    coupling = stencil - np.where(unknown & sigma[at], weights * _at_nodes(problem.p, x)[at], 0.0)
+    coupling = stencil - np.where(unknown & sigma[at], weights * p_at[at], 0.0)
     ab = np.zeros((4, n))
     row, col = np.nonzero(unknown)
     ab[3 - col, row + col - 2] = coupling[row, col]
@@ -147,11 +183,52 @@ def assemble(problem, n):
     return SplineSystem(n=n, h=h, matrix=ab, rhs=rhs)
 
 
+def _solve_band(ab, rhs):
+    """Solve A s = rhs for the (2, 1)-band A of SplineSystem.matrix.
+
+    Gaussian elimination with partial pivoting inside the band, as
+    LAPACK's gbsv does: step k swaps the largest of rows k .. k+2 in
+    column k to the top.  A row swapped up from k+2 reaches column k+3,
+    so U carries two superdiagonals of fill.  Each step updates two rows
+    of five numbers, so the loop runs on Python floats.  Raises
+    AssemblyError when column k has no nonzero pivot.
+    """
+    n = rhs.size
+    band = np.pad(ab, ((0, 0), (2, 2)))
+    # rows[i] is row i of A over columns i-2 .. i+1, then rhs[i].
+    rows = np.column_stack([band[3, :n], band[2, 1:n + 1], band[1, 2:n + 2], band[0, 3:n + 3], rhs]).tolist()
+    # Rows k .. k+2 over columns k .. k+3, then their right-hand sides.
+    window = [rows[i][2 - i:4] + [0.0] * (2 - i) + rows[i][4:] for i in range(min(3, n))]
+    upper = []
+    for k in range(n):
+        top = 0
+        for r in range(1, len(window)):
+            if abs(window[r][0]) > abs(window[top][0]):
+                top = r
+        window[0], window[top] = window[top], window[0]
+        u = window[0]
+        if u[0] == 0.0:
+            raise AssemblyError(f"singular spline system: no nonzero pivot in column {k}")
+        upper.append(u)
+        shifted = []
+        for r in window[1:]:
+            m = r[0] / u[0]
+            shifted.append([r[1] - m * u[1], r[2] - m * u[2], r[3] - m * u[3], 0.0, r[4] - m * u[4]])
+        window = shifted + rows[k + 3:k + 4]
+
+    s = [0.0] * (n + 3)
+    for k in range(n - 1, -1, -1):
+        u = upper[k]
+        s[k] = (u[4] - u[1] * s[k + 1] - u[2] * s[k + 2] - u[3] * s[k + 3]) / u[0]
+    return np.array(s[:n])
+
+
 def solve_grid(problem, n):
     """Solve the spline system and return the full grid s_0 ... s_{n+1}.
 
-    s_0 is the boundary value u(a); s_{n+1} follows from the interior
-    recurrence evaluated at the last knot.
+    The interior values come from band LU with partial pivoting on the
+    assembled system; s_0 is the boundary value u(a), and s_{n+1}
+    follows from the interior recurrence evaluated at the last knot.
 
     Parameters
     ----------
@@ -165,15 +242,11 @@ def solve_grid(problem, n):
     Raises
     ------
     AssemblyError
-        When the banded system is singular.
+        When a datum is not finite (see assemble), a column has no
+        nonzero pivot, or the solution overflows.
     """
-    from scipy.linalg import solve_banded
-
     system = assemble(problem, n)
-    try:
-        interior = solve_banded((2, 1), system.matrix, system.rhs)
-    except np.linalg.LinAlgError as exc:
-        raise AssemblyError(f"singular spline system: {exc}") from exc
+    interior = _solve_band(system.matrix, system.rhs)
     if not np.all(np.isfinite(interior)):
         raise AssemblyError("spline system produced non-finite values")
     h, x = _grid(problem, n)
@@ -191,7 +264,8 @@ def spline_fit(problem, s):
 
     The knot slopes come from the first-derivative consistency relation,
     with the prescribed u'(a) and u'(b) at the ends; each piece is
-    a_i t^3 + b_i t^2 + c_i t + d_i in t = x - x_i.
+    a_i t^3 + b_i t^2 + c_i t + d_i in t = x - x_i.  The pieces are C2
+    at the interior knots.
 
     Parameters
     ----------
@@ -201,10 +275,9 @@ def spline_fit(problem, s):
 
     Returns
     -------
-    scipy.interpolate.PPoly
+    PiecewiseCubic
+        c of shape (4, n + 1) and the n + 2 grid points as x.
     """
-    from scipy.interpolate import PPoly
-
     n = s.size - 2
     h, x = _grid(problem, n)
     sigma = _region_mask(problem, x)
@@ -217,7 +290,7 @@ def spline_fit(problem, s):
 
     a_c = (t[:-1] + t[1:]) / 12.0
     b_c = (s[1:] - s[:-1]) / h**2 - dvals[:-1] / h - a_c * h
-    return PPoly(np.vstack([a_c, b_c, dvals[:-1], s[:-1]]), x)
+    return PiecewiseCubic(np.vstack([a_c, b_c, dvals[:-1], s[:-1]]), x)
 
 
 _SQ3 = np.sqrt(3.0)

@@ -405,6 +405,31 @@ def test_solve_and_erf_sqrt_certificate_run_without_scipy():
     assert proc.stdout.split() == ["True", "pass"]
 
 
+def test_obstacle_solve_fit_and_command_run_without_scipy():
+    probe = "; ".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from gvikit import benchmark_problem, solve_grid, spline_fit",
+        "prob = benchmark_problem()",
+        "s = solve_grid(prob, 15)",
+        "pp = spline_fit(prob, s)",
+        "print(pp.c.shape, bool(abs(pp(0.5) - s[8]) <= 1e-12))",
+    ])
+    proc = _fresh_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(4, 16) True"
+    command = "; ".join([
+        "import runpy, sys",
+        "sys.modules['scipy'] = None",
+        "sys.argv = ['gvi', 'obstacle', '--n', '15,31']",
+        "runpy.run_module('gvikit.bench_cli', run_name='__main__')",
+    ])
+    proc = _fresh_python("-c", command)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("n,h,max_error\n15,6.250000e-02,")
+    assert len(proc.stdout.splitlines()) == 3
+
+
 def test_module_entry_point_writes_nothing_to_stderr():
     proc = _fresh_python("-m", "gvikit.bench_cli", "obstacle", "--n", "15")
     assert proc.returncode == 0

@@ -1,9 +1,13 @@
 """Spline discretization of the third-order obstacle benchmark."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     fd_third_derivative,
@@ -15,6 +19,7 @@ from oracles import (
 
 from gvikit.obstacle_spline import (
     ObstacleProblem,
+    _solve_band,
     analytic_solution,
     assemble,
     benchmark_problem,
@@ -24,9 +29,12 @@ from gvikit.obstacle_spline import (
     solve_grid,
     spline_fit,
 )
-from gvikit.errors import GridError
+from gvikit.errors import AssemblyError, GridError
 
 REFERENCE_ERRORS = {15: 1.23e-3, 31: 5.53e-4, 63: 2.61e-4, 127: 1.27e-4}
+BAND_SETTINGS = settings(
+    max_examples=300, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
 
 
 def homogeneous_problem():
@@ -222,3 +230,70 @@ def test_interface_point_validation():
         ObstacleProblem(a=0.0, b=1.0, f=lambda x: 0.0, p=lambda x: 0.0, r=0.0,
                         alpha=0.0, beta1=0.0, beta2=0.0, psi=lambda x: 0.0,
                         c=0.8, d=0.2)
+
+
+@pytest.mark.parametrize("make_problem", [benchmark_problem, general_problem])
+def test_solve_grid_scaled_residual_is_at_rounding_level(make_problem):
+    prob = make_problem()
+    for n in (7, 15, 31, 63, 127, 255, 511, 1023):
+        system = assemble(prob, n)
+        dense = densify(system)
+        s = solve_grid(prob, n)[1:-1]
+        residual = np.max(np.abs(dense @ s - system.rhs))
+        scale = np.linalg.norm(dense, np.inf) * np.max(np.abs(s)) + np.max(np.abs(system.rhs))
+        assert residual <= 1e-15 * scale, n
+
+
+@pytest.mark.parametrize("datum, value", [("p", lambda x: math.nan), ("f", lambda x: math.inf), ("r", math.nan)])
+def test_non_finite_datum_raises_assembly_error_naming_it(datum, value):
+    prob = dataclasses.replace(benchmark_problem(), **{datum: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssemblyError, match=rf"^{datum}\b.* is not finite"):
+            solve_grid(prob, 15)
+
+
+def band_storage(dense):
+    """The (2, 1) band of a dense matrix in SplineSystem.matrix's layout, entry by entry."""
+    n = dense.shape[0]
+    band = np.zeros((4, n))
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 2)):
+            band[1 + i - j, j] = dense[i, j]
+    return band
+
+
+@st.composite
+def band_systems(draw):
+    """A dense (2, 1)-band matrix, its diagonal often tiny or zero so that rows must swap, and a rhs."""
+    n = draw(st.integers(1, 12))
+    entry = st.floats(-10.0, 10.0)
+    diagonal = st.one_of(st.sampled_from([0.0, 1e-12, -1e-9]), entry)
+    dense = np.zeros((n, n))
+    for i in range(n):
+        for j in range(max(0, i - 2), min(n, i + 2)):
+            dense[i, j] = draw(diagonal if i == j else entry)
+    return dense, np.array(draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+@BAND_SETTINGS
+@given(band_systems())
+def test_band_solve_matches_dense_solve(system):
+    dense, rhs = system
+    cond = np.linalg.cond(dense, np.inf)
+    assume(cond <= 1e12)
+    s = _solve_band(band_storage(dense), rhs)
+    reference = np.linalg.solve(dense, rhs)
+    size = np.max(np.abs(reference), initial=0.0)
+    assert np.max(np.abs(s - reference)) <= 1e-13 * cond * size
+    residual = np.max(np.abs(dense @ s - rhs))
+    assert residual <= 1e-14 * (np.linalg.norm(dense, np.inf) * np.max(np.abs(s)) + np.max(np.abs(rhs)))
+
+
+@BAND_SETTINGS
+@given(band_systems(), st.data())
+def test_band_solve_raises_on_a_zero_column(system, data):
+    dense, rhs = system
+    dense[:, data.draw(st.integers(0, dense.shape[0] - 1))] = 0.0
+    with pytest.raises(AssemblyError, match="no nonzero pivot"):
+        _solve_band(band_storage(dense), rhs)
