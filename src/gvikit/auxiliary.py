@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     check_divergence,
+    default_rho,
     effective_T,
     g_value,
     iterate,
@@ -75,7 +76,7 @@ def solve_three_step(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config, rho, u = prepare_solve(problem, config, u0)
+    config, _, u = prepare_solve(problem, config, u0)
 
     def update(u, s, k):
         mu = s.rho if config.mu_step is None else config.mu_step
@@ -86,7 +87,7 @@ def solve_three_step(problem, config=None, u0=None):
         gw = g_value(problem, w)
         return recover_iterate(problem, w, project(problem.K, gw - s.rho * effective_T(problem, w))), None, None
 
-    report = iterate_residual(problem, config, rho, u, update, {"algorithm": "three-step"})
+    report = iterate_residual(problem, config, u, update, {"algorithm": "three-step"})
     last = report.details["rho"]
     report.details["mu_step"] = last if config.mu_step is None else config.mu_step
     report.details["beta_step"] = last if config.beta_step is None else config.beta_step
@@ -152,7 +153,7 @@ def solve_gap_descent(problem, config=None, u0=None):
     """
     if problem.g is not None:
         raise CapabilityError("gap descent needs g = identity")
-    config, rho, u = prepare_solve(problem, config, u0)
+    config, rho, u = prepare_solve(problem, config, u0, default=default_rho)
     s = projection_stage(problem, u, rho)
     gap = _gap(problem, u, s, rho).value
 

@@ -25,6 +25,8 @@ _INNER_KAPPA = 0.1
 # this fraction of the local ratio ||du|| / ||dT|| (see iterate_residual).
 _RHO_GROWTH = 1.2
 _RHO_LOCAL = 0.5
+# Length of the first difference that gives a learned run its rho_ref.
+_FIRST_DIFFERENCE = 1e-4
 
 
 @dataclass
@@ -148,10 +150,11 @@ class SolveConfig:
     Parameters
     ----------
     rho : float, optional
-        Step scalar.  None starts the residual solvers at
-        rho_0 = 0.5 / (estimated Lipschitz constant of T) and lets them
-        learn rho along the run (see :func:`iterate_residual`), never
-        below rho_0; the other solvers keep their own default.
+        Step scalar.  None lets the residual solvers learn rho along the
+        run, from rho_ref = 0.5 ||du|| / ||dT|| of one first difference at
+        the start point, and stop where the residual at rho_ref is at most
+        tol (see :func:`iterate_residual`); the other solvers keep their
+        own default.
     tol : float
         Residual-norm stopping threshold.
     max_iters : int
@@ -453,15 +456,16 @@ def default_rho(problem):
     return 0.5 / lip
 
 
-def prepare_solve(problem, config, u0, default=default_rho):
+def prepare_solve(problem, config, u0, default=None):
     """How every solve starts: its config, its step scalar rho and its start point.
 
     The config is ``SolveConfig()`` when None.  rho is ``config.rho``,
-    or ``default`` when that is None; ``default`` is a number, or a
+    or ``default`` when that is None; ``default`` is a number, a
     function of the problem such as :func:`default_rho` (the Lipschitz
-    probe of the residual family, which learns rho from there on; see
-    :func:`iterate_residual`).  The start point is a private copy of u0,
-    or the projection of the origin onto K when u0 is None.
+    probe of the solvers that run at one fixed rho), or None, which the
+    residual family leaves to :func:`iterate_residual` to learn.  The
+    start point is a private copy of u0, or the projection of the origin
+    onto K when u0 is None.
     """
     config = SolveConfig() if config is None else config
     rho = default if config.rho is None else config.rho
@@ -622,7 +626,27 @@ def iterate(u, norm, step, config, details, info=None, lyapunov=None):
     )
 
 
-def iterate_residual(problem, config, rho, u, update, details, lyapunov=None):
+def first_difference_rho(problem, u, gu, t):
+    """rho_ref = 0.5 ||x - u|| / ||T(x) - T(u)|| from one difference at u.
+
+    gu = g(u) and t = T(u) are known to the caller.  x is recovered from
+    P_K[gu - (eps / ||t||) t], a point with g(x) in K at most eps from gu
+    when gu is in K, so T is evaluated once, and only there.  A T that
+    vanishes at u, or does not change along the difference, gives 1.0,
+    as :func:`default_rho` does for a constant T.
+    """
+    t_size = vector_norm(t)
+    if t_size == 0.0:
+        return 1.0
+    x = recover_iterate(problem, u, project(problem.K, gu - (_FIRST_DIFFERENCE / t_size) * t))
+    step = vector_norm(x - u)
+    t_change = vector_norm(effective_T(problem, x) - t)
+    if t_change <= 1e-12 * step:
+        return 1.0
+    return _RHO_LOCAL * step / t_change
+
+
+def iterate_residual(problem, config, u, update, details, lyapunov=None):
     """Run :func:`iterate` on the projection residual.
 
     ``update(u, s, k) -> (u_next, info, t_next)`` takes step k from the
@@ -631,40 +655,53 @@ def iterate_residual(problem, config, rho, u, update, details, lyapunov=None):
     when the step already evaluated it, else None.  The stage at each new
     iterate serves both the stop test and the next step.
 
-    Every stage has rho when ``config.rho`` gives it; a solver whose rho
-    is fixed whatever the caller asks (the double-projection pair) sets
-    ``config.rho`` to it.  Otherwise rho = rho_0 came from the Lipschitz
-    probe, and the stage at u_{k+1} has the learned step of Malitsky and Mishchenko (Adaptive
+    Every stage has rho = ``config.rho`` when that is given; a solver
+    whose rho is fixed whatever the caller asks (the double-projection
+    pair) sets ``config.rho`` to it.  Otherwise the run starts at
+    rho_0 = rho_ref from :func:`first_difference_rho`, which reuses the
+    start stage's T(u_0) and costs one T evaluation, and the stage at
+    u_{k+1} has the learned step of Malitsky and Mishchenko (Adaptive
     gradient descent without descent, ICML 2020)
 
-        rho_{k+1} = max(rho_0, min(1.2 rho_k, 0.5 ||u_{k+1} - u_k|| / ||T(u_{k+1}) - T(u_k)||)),
+        rho_{k+1} = min(1.2 rho_k, 0.5 ||u_{k+1} - u_k|| / ||T(u_{k+1}) - T(u_k)||),
 
     without the second term when T did not change.  T(u_{k+1}) is the
     stage's own evaluation, so the rule costs no T evaluation.  For g(u)
-    in K, ||R(u, rho)|| is nondecreasing in rho (Calamai and Moré, Math.
-    Program. 39, 1987), so a stop at rho_k >= rho_0 also meets the stop
-    test at rho_0.  The report details gain ``rho``, the rho of the final
-    stage.
+    in K, ||R(u, rho)|| is nondecreasing and ||R(u, rho)|| / rho is
+    nonincreasing in rho (Calamai and Moré, Math. Program. 39, 1987,
+    Lemma 2.2), so the stopping quantity
+
+        max(1, rho_ref / rho_k) ||R(u, rho_k)|| >= ||R(u, rho_ref)||
+
+    certifies tol at rho_ref; with a given rho it is ||R(u, rho)||.  The
+    report details gain ``rho``, the rho of the final stage, and
+    ``rho_ref``.
     """
-    s = projection_stage(problem, u, rho)
-    learn = config.rho is None
+    gu, t = g_value(problem, u), effective_T(problem, u)
+    rho_ref = config.rho
+    if rho_ref is None:
+        rho_ref = first_difference_rho(problem, u, gu, t)
+    s = Stage(gu, t, project(problem.K, gu - rho_ref * t), rho_ref)
+
+    def bound(s):
+        norm = s.norm()
+        return norm if s.rho >= rho_ref else rho_ref / s.rho * norm
 
     def step(u, k):
         nonlocal s
         u_next, info, t_next = update(u, s, k)
         check_divergence(u_next)
         rho_next = s.rho
-        if learn:
+        if config.rho is None:
             if t_next is None:
                 t_next = effective_T(problem, u_next)
             rho_next = _RHO_GROWTH * s.rho
             t_change = vector_norm(t_next - s.t)
             if t_change > 0.0:
                 rho_next = min(rho_next, _RHO_LOCAL * vector_norm(u_next - u) / t_change)
-            rho_next = max(rho, rho_next)
         prev, s = s, projection_stage(problem, u_next, rho_next, t_next)
-        return u_next, s.norm(), info(prev, s) if callable(info) else info
+        return u_next, bound(s), info(prev, s) if callable(info) else info
 
-    report = iterate(u, s.norm(), step, config, details, lyapunov=lyapunov)
-    report.details = dict(details, rho=s.rho)
+    report = iterate(u, bound(s), step, config, details, lyapunov=lyapunov)
+    report.details = dict(details, rho=s.rho, rho_ref=rho_ref)
     return report

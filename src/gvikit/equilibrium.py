@@ -4,8 +4,9 @@ Equilibrium and variational-like problems have no computable projection
 step for general bifunctions, so the per-iteration subproblem is a
 first-class capability: the caller supplies an oracle and the solvers
 drive it.  The linear/projection reduction ships as the only built-in.
-The oracle solvers take rho = 1 when config.rho is None, with no
-Lipschitz probe.
+The oracle solvers take rho = 1 when config.rho is None; the
+higher-order solver takes default_rho, 0.5 / L from the Lipschitz probe,
+and keeps it for the whole run.
 The higher-order two-step half-steps are p-th power subproblems solved by
 a bracketed root search on one scalar; the implicit mode is a resolvent step.
 """
@@ -20,6 +21,7 @@ import numpy as np
 
 from .core import (
     check_divergence,
+    default_rho,
     effective_T,
     g_value,
     inner_fixed_point,
@@ -352,7 +354,7 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     base = problem.base
     if base.g is not None:
         raise CapabilityError("the built-in subproblem solver needs g = identity")
-    config, rho, u = prepare_solve(base, config, u0)
+    config, rho, u = prepare_solve(base, config, u0, default=default_rho)
     last = None  # (anchor, T(anchor)) of the last implicit inner evaluation
 
     def step(u, k):

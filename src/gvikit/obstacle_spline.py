@@ -103,18 +103,22 @@ def _at_nodes(fn, x):
     return np.array([fn(xi) for xi in x], dtype=float)
 
 
-def _operator_values(problem, x, sigma, s):
+def _operator_values(problem, sigma, s, f_at, p_at):
     """T_i = f_i outside the contact region and p_i s_i + f_i + r inside."""
-    t = _at_nodes(problem.f, x) + np.where(sigma, problem.r, 0.0)
-    return t + np.where(sigma, _at_nodes(problem.p, x) * s, 0.0)
+    t = f_at + np.where(sigma, problem.r, 0.0)
+    return t + np.where(sigma, p_at * s, 0.0)
 
 
-def _require_finite(problem, x, f_at, p_at):
-    """Raise AssemblyError naming the first datum that is inf or nan."""
-    for name in ("r", "alpha", "beta1", "beta2"):
+def _require_finite(problem, x, scalars, **at_nodes):
+    """Raise AssemblyError naming the first datum that is inf or nan.
+
+    scalars names fields of problem; at_nodes maps the name of a function
+    of the problem to its values at the nodes x.
+    """
+    for name in scalars:
         if not np.isfinite(getattr(problem, name)):
             raise AssemblyError(f"{name} = {getattr(problem, name)} is not finite")
-    for name, values in (("f", f_at), ("p", p_at)):
+    for name, values in at_nodes.items():
         bad = np.flatnonzero(~np.isfinite(values))
         if bad.size:
             raise AssemblyError(f"{name}({x[bad[0]]}) = {values[bad[0]]} is not finite")
@@ -151,7 +155,7 @@ def assemble(problem, n):
     h, x = _grid(problem, n)
     sigma = _region_mask(problem, x)
     f_at, p_at = _at_nodes(problem.f, x), _at_nodes(problem.p, x)
-    _require_finite(problem, x, f_at, p_at)
+    _require_finite(problem, x, ("r", "alpha", "beta1", "beta2"), f=f_at, p=p_at)
     t_known = f_at + np.where(sigma, problem.r, 0.0)  # T with the p*s part left out
     # Row i of the system (node i = 1..n) couples nodes i-2 .. i+1: the
     # stencil acts on s there and the weights on T.
@@ -252,7 +256,7 @@ def solve_grid(problem, n):
     h, x = _grid(problem, n)
     s = np.concatenate([[problem.alpha], interior, [0.0]])  # s_{n+1} is set below
     sigma = _region_mask(problem, x)
-    t = _operator_values(problem, x, sigma, s)
+    t = _operator_values(problem, sigma, s, _at_nodes(problem.f, x), _at_nodes(problem.p, x))
     s[n + 1] = s[n - 2] - 3.0 * s[n - 1] + 3.0 * s[n] + (h**3 / 12.0) * (
         t[n - 2] + 5.0 * t[n - 1] + 5.0 * t[n] + t[n + 1]
     )
@@ -277,11 +281,19 @@ def spline_fit(problem, s):
     -------
     PiecewiseCubic
         c of shape (4, n + 1) and the n + 2 grid points as x.
+
+    Raises
+    ------
+    AssemblyError
+        When r, beta1, beta2, or f or p at a grid node, is inf or nan;
+        the message names that datum.
     """
     n = s.size - 2
     h, x = _grid(problem, n)
     sigma = _region_mask(problem, x)
-    t = _operator_values(problem, x, sigma, s)
+    f_at, p_at = _at_nodes(problem.f, x), _at_nodes(problem.p, x)
+    _require_finite(problem, x, ("r", "beta1", "beta2"), f=f_at, p=p_at)
+    t = _operator_values(problem, sigma, s, f_at, p_at)
 
     dvals = np.empty(n + 2)
     dvals[0] = problem.beta1
@@ -405,15 +417,22 @@ def discrete_energy(problem, v):
     Returns
     -------
     float
+
+    Raises
+    ------
+    AssemblyError
+        When f at a grid node is inf or nan; the message names it.
     """
     v = np.asarray(v, dtype=float)
     if v.size < 3:
         raise ValueError("energy needs at least 3 grid values")
     h = (problem.b - problem.a) / (v.size - 1)
     x = problem.a + h * np.arange(v.size)
+    f_at = _at_nodes(problem.f, x)
+    _require_finite(problem, x, (), f=f_at)
     dv = np.gradient(v, h, edge_order=2)
     ddv = np.gradient(dv, h, edge_order=2)
-    return float(_trapezoid(ddv**2, h) - 2.0 * _trapezoid(_at_nodes(problem.f, x) * dv, h))
+    return float(_trapezoid(ddv**2, h) - 2.0 * _trapezoid(f_at * dv, h))
 
 
 def complementarity_check(s, problem):

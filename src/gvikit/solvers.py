@@ -45,12 +45,12 @@ def solve_projection(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config, rho, u = prepare_solve(problem, config, u0)
+    config, _, u = prepare_solve(problem, config, u0)
 
     def update(u, s, k):
         return u - s.gu + s.p, None, None
 
-    return iterate_residual(problem, config, rho, u, update, {"algorithm": "projection"})
+    return iterate_residual(problem, config, u, update, {"algorithm": "projection"})
 
 
 def solve_extragradient(problem, config=None, u0=None):
@@ -71,13 +71,13 @@ def solve_extragradient(problem, config=None, u0=None):
     """
     if problem.g is not None and problem.g_inverse is None:
         raise CapabilityError("extragradient needs g_inverse for non-identity g")
-    config, rho, u = prepare_solve(problem, config, u0)
+    config, _, u = prepare_solve(problem, config, u0)
 
     def update(u, s, k):
         y = eval_operator(problem, "g_inverse", s.p)
         return u - s.gu + project(problem.K, s.gu - s.rho * effective_T(problem, y)), None, None
 
-    return iterate_residual(problem, config, rho, u, update, {"algorithm": "extragradient"})
+    return iterate_residual(problem, config, u, update, {"algorithm": "extragradient"})
 
 
 def solve_two_step(problem, config=None, u0=None):
@@ -102,7 +102,7 @@ def solve_two_step(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config, rho, u = prepare_solve(problem, config, u0)
+    config, _, u = prepare_solve(problem, config, u0)
     lam, xi = config.lam, config.xi
 
     def update(u, s, k):
@@ -113,7 +113,7 @@ def solve_two_step(problem, config=None, u0=None):
         return u - s.gu + w, None, None
 
     details = {"algorithm": "two-step", "lam": lam, "xi": xi}
-    return iterate_residual(problem, config, rho, u, update, details)
+    return iterate_residual(problem, config, u, update, details)
 
 
 def _step_gsq(prev, nxt):
@@ -156,7 +156,7 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
     """
     if variant not in _VARIANTS:
         raise ValueError(f"variant must be one of {_VARIANTS}")
-    config, rho, u = prepare_solve(problem, config, u0)
+    config, _, u = prepare_solve(problem, config, u0)
     h = config.h
     damp = h / (1.0 + h)
 
@@ -181,4 +181,4 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
         return recover_iterate(problem, u, w), _step_gsq, t_next
 
     details = {"algorithm": "dynamical", "variant": variant, "h": h}
-    return iterate_residual(problem, config, rho, u, update, details, lyapunov=known_solution_lyapunov(problem))
+    return iterate_residual(problem, config, u, update, details, lyapunov=known_solution_lyapunov(problem))

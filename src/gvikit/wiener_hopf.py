@@ -91,7 +91,7 @@ def _solve_double_projection(problem, config, u0, optimal):
     if optimal:
         check_intersection_base(problem.K)
     # Both methods take rho = 1 whatever config.rho says, so rho is not learned.
-    config, _, u = prepare_solve(problem, config, u0, default=1.0)
+    config, _, u = prepare_solve(problem, config, u0)
     config = replace(config, rho=1.0)
 
     def update(u, s, k):
@@ -111,7 +111,7 @@ def _solve_double_projection(problem, config, u0, optimal):
         return recover_iterate(problem, u, g_next), info, None
 
     details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
-    return iterate_residual(problem, config, config.rho, u, update, details)
+    return iterate_residual(problem, config, u, update, details)
 
 
 def solve_double_projection_basic(problem, config=None, u0=None):
@@ -185,7 +185,7 @@ def solve_whe(problem, config=None, u0=None):
     -------
     SolveReport
     """
-    config, rho, u = prepare_solve(problem, config, u0)
+    config, _, u = prepare_solve(problem, config, u0)
 
     def update(u, s, k):
         a_n = config.alpha_at(k, default=1.0)
@@ -196,4 +196,4 @@ def solve_whe(problem, config=None, u0=None):
         w = project(problem.K, s.p - s.rho * effective_T(problem, y) + s.p - shifted)
         return recover_iterate(problem, u, (1.0 - a_n) * s.gu + a_n * w), {"alpha_n": a_n}, None
 
-    return iterate_residual(problem, config, rho, u, update, {"algorithm": "whe"})
+    return iterate_residual(problem, config, u, update, {"algorithm": "whe"})

@@ -8,8 +8,9 @@ closed forms, per-entry loops that the obstacle module's and the
 convexity sweep's array code must reproduce bit for bit, the dense matrix and dense solve that
 example3's stencil and closed-form solution replace, enumeration of
 every active set for the projection onto a box or simplex cut by a
-hyperplane, and, at sizes no enumeration reaches, a check of that
-projection's optimality conditions.
+hyperplane, at sizes no enumeration reaches, a check of that
+projection's optimality conditions, and the projection residual over a
+box by a bare clip.
 """
 
 import itertools
@@ -171,6 +172,12 @@ def loop_complementarity(s, problem):
         d3 = (s[i + 2] - 2.0 * s[i + 1] + 2.0 * s[i - 1] - s[i - 2]) / (2.0 * h**3)
         worst = max(worst, abs(min(-d3 - problem.f(x), 0.0) * (s[i] - problem.psi(x))))
     return worst
+
+
+def box_projection_residual(T, lo, hi, u, rho):
+    """||u - min(max(u - rho T(u), lo), hi)||, the projection residual over a box, by a bare clip."""
+    u = np.asarray(u, dtype=float)
+    return float(np.linalg.norm(u - np.minimum(np.maximum(u - rho * np.asarray(T(u), dtype=float), lo), hi)))
 
 
 def example3_dense(n):

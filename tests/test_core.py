@@ -288,9 +288,21 @@ def test_lipschitz_estimate_matches_linear_operator():
 
 def test_resolve_rho_prefers_explicit_value(example4_10):
     assert solve_projection(example4_10, SolveConfig(rho=0.7)).details["rho"] == 0.7
-    auto = solve_projection(example4_10, SolveConfig(rho=None)).details["rho"]
-    assert auto > 0.0
-    assert auto == pytest.approx(0.5 / estimate_lipschitz(example4_10))
+    auto = solve_projection(example4_10, SolveConfig(rho=None)).details
+    assert auto["rho"] > 0.0
+    # From u_0 = 0, where T = -1, the first difference moves along the
+    # diagonal of the box: rho_ref = 0.5 ||x|| / ||D x|| with D = diag(1..10)/10.
+    assert auto["rho_ref"] == pytest.approx(0.5 * np.sqrt(10.0) / np.linalg.norm(np.arange(1, 11) / 10.0))
+
+
+def test_first_difference_gives_rho_one_where_T_vanishes_or_does_not_change(zero_operator_problem):
+    report = solve_projection(zero_operator_problem)
+    assert (report.iterations, report.details["rho_ref"]) == (0, 1.0)
+    constant = GviProblem(dim=3, T=lambda u: np.array([1.0, -1.0, 0.5]), K=Box(np.zeros(3), np.ones(3)))
+    report = solve_projection(constant)
+    assert report.converged
+    assert report.details["rho_ref"] == 1.0
+    np.testing.assert_array_equal(report.solution, [0.0, 1.0, 0.0])
 
 
 def _counting(fn):

@@ -253,6 +253,26 @@ def test_non_finite_datum_raises_assembly_error_naming_it(datum, value):
             solve_grid(prob, 15)
 
 
+@pytest.mark.parametrize("datum", ["f", "p"])
+def test_spline_fit_raises_assembly_error_naming_a_non_finite_datum(datum):
+    prob = benchmark_problem()
+    s = solve_grid(prob, 15)
+    prob = dataclasses.replace(prob, **{datum: lambda x: math.inf})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssemblyError, match=rf"^{datum}\(.* is not finite"):
+            spline_fit(prob, s)
+
+
+def test_discrete_energy_raises_assembly_error_naming_a_non_finite_f():
+    prob = benchmark_problem()
+    s = solve_grid(prob, 15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AssemblyError, match=r"^f\(.* is not finite"):
+            discrete_energy(dataclasses.replace(prob, f=lambda x: math.inf), s)
+
+
 def band_storage(dense):
     """The (2, 1) band of a dense matrix in SplineSystem.matrix's layout, entry by entry."""
     n = dense.shape[0]
