@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import (
     check_divergence,
-    default_rho,
     effective_T,
     g_value,
     iterate,
@@ -23,6 +22,7 @@ from .core import (
     prepare_solve,
     projection_stage,
     recover_iterate,
+    start_stage,
 )
 from .errors import CapabilityError, StallError
 from .sets import project
@@ -139,7 +139,8 @@ def solve_gap_descent(problem, config=None, u0=None):
     problem : GviProblem
     config : SolveConfig, optional
         alpha is the sufficient-decrease constant, gamma the
-        backtracking ratio.
+        backtracking ratio; rho None runs at rho_ref (see
+        :func:`~gvikit.core.start_stage`).
     u0 : array_like, optional
 
     Returns
@@ -153,8 +154,9 @@ def solve_gap_descent(problem, config=None, u0=None):
     """
     if problem.g is not None:
         raise CapabilityError("gap descent needs g = identity")
-    config, rho, u = prepare_solve(problem, config, u0, default=default_rho)
-    s = projection_stage(problem, u, rho)
+    config, _, u = prepare_solve(problem, config, u0)
+    s = start_stage(problem, config, u)
+    rho = s.rho
     gap = _gap(problem, u, s, rho).value
 
     def step(u, k):

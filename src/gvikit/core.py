@@ -66,12 +66,12 @@ class GviProblem:
             self._check_g_inverse()
 
     def _check_g_inverse(self):
-        # Probe g_inverse(g(u)) = u on a small deterministic set.
+        # Probe g_inverse(g(u)) = u on a small deterministic set; no g is the identity.
         rng = np.random.default_rng(0)
         probes = [np.zeros(self.dim), np.ones(self.dim)]
         probes += [rng.standard_normal(self.dim) for _ in range(3)]
         for u in probes:
-            back = np.asarray(self.g_inverse(self.g(u)), dtype=float)
+            back = np.asarray(self.g_inverse(u if self.g is None else self.g(u)), dtype=float)
             if not np.allclose(back, u, rtol=0.0, atol=1e-10):
                 raise ValueError("g_inverse(g(u)) deviates from u beyond 1e-10 on probe set")
 
@@ -150,11 +150,12 @@ class SolveConfig:
     Parameters
     ----------
     rho : float, optional
-        Step scalar.  None lets the residual solvers learn rho along the
-        run, from rho_ref = 0.5 ||du|| / ||dT|| of one first difference at
-        the start point, and stop where the residual at rho_ref is at most
-        tol (see :func:`iterate_residual`); the other solvers keep their
-        own default.
+        Step scalar.  None means rho_ref = 0.5 ||du|| / ||dT|| of one
+        first difference at the start point (see :func:`start_stage`).
+        The residual solvers start from it, learn rho along the run and
+        stop where the residual at rho_ref is at most tol (see
+        :func:`iterate_residual`); gap descent and the higher-order solver
+        keep it for the whole run; the oracle solvers take 1 instead.
     tol : float
         Residual-norm stopping threshold.
     max_iters : int
@@ -420,57 +421,17 @@ def wiener_hopf_residual(problem, z, rho):
     return rho * effective_T(problem, u) + z - pz
 
 
-def estimate_lipschitz(problem, trials=20, seed=0, eps=1e-4):
-    """Estimate the Lipschitz constant of T.
-
-    Samples finite differences at projected random base points.
-
-    Parameters
-    ----------
-    problem : GviProblem
-    trials : int
-    seed : int
-    eps : float
-
-    Returns
-    -------
-    float
-        Max sampled ||T(x + eps*d) - T(x)|| / eps over unit directions d.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        x = project(problem.K, rng.standard_normal(problem.dim))
-        d = rng.standard_normal(problem.dim)
-        d /= max(np.linalg.norm(d), 1e-30)
-        diff = effective_T(problem, x + eps * d) - effective_T(problem, x)
-        worst = max(worst, float(np.linalg.norm(diff)) / eps)
-    return worst
-
-
-def default_rho(problem):
-    """Default step scalar 0.5 / (estimated Lipschitz constant of T)."""
-    lip = estimate_lipschitz(problem)
-    if lip <= 1e-12:
-        return 1.0
-    return 0.5 / lip
-
-
 def prepare_solve(problem, config, u0, default=None):
     """How every solve starts: its config, its step scalar rho and its start point.
 
     The config is ``SolveConfig()`` when None.  rho is ``config.rho``,
-    or ``default`` when that is None; ``default`` is a number, a
-    function of the problem such as :func:`default_rho` (the Lipschitz
-    probe of the solvers that run at one fixed rho), or None, which the
-    residual family leaves to :func:`iterate_residual` to learn.  The
-    start point is a private copy of u0, or the projection of the origin
-    onto K when u0 is None.
+    or ``default`` when that is None: the oracle solvers pass 1.0, and
+    the solvers that take rho_ref from :func:`first_difference_rho` at
+    the start point leave it None.  The start point is a private copy of
+    u0, or the projection of the origin onto K when u0 is None.
     """
     config = SolveConfig() if config is None else config
     rho = default if config.rho is None else config.rho
-    if callable(rho):
-        rho = rho(problem)
     if u0 is None:
         return config, rho, project(problem.K, np.zeros(problem.dim))
     return config, rho, np.atleast_1d(np.asarray(u0, dtype=float)).copy()
@@ -632,8 +593,7 @@ def first_difference_rho(problem, u, gu, t):
     gu = g(u) and t = T(u) are known to the caller.  x is recovered from
     P_K[gu - (eps / ||t||) t], a point with g(x) in K at most eps from gu
     when gu is in K, so T is evaluated once, and only there.  A T that
-    vanishes at u, or does not change along the difference, gives 1.0,
-    as :func:`default_rho` does for a constant T.
+    vanishes at u, or does not change along the difference, gives 1.0.
     """
     t_size = vector_norm(t)
     if t_size == 0.0:
@@ -644,6 +604,19 @@ def first_difference_rho(problem, u, gu, t):
     if t_change <= 1e-12 * step:
         return 1.0
     return _RHO_LOCAL * step / t_change
+
+
+def start_stage(problem, config, u):
+    """The stage at the start point u, at rho = ``config.rho`` or, when that is None, rho_ref.
+
+    rho_ref comes from :func:`first_difference_rho`, which reuses the
+    stage's T(u), so it costs one T evaluation.
+    """
+    gu, t = g_value(problem, u), effective_T(problem, u)
+    rho = config.rho
+    if rho is None:
+        rho = first_difference_rho(problem, u, gu, t)
+    return Stage(gu, t, project(problem.K, gu - rho * t), rho)
 
 
 def iterate_residual(problem, config, u, update, details, lyapunov=None):
@@ -658,10 +631,9 @@ def iterate_residual(problem, config, u, update, details, lyapunov=None):
     Every stage has rho = ``config.rho`` when that is given; a solver
     whose rho is fixed whatever the caller asks (the double-projection
     pair) sets ``config.rho`` to it.  Otherwise the run starts at
-    rho_0 = rho_ref from :func:`first_difference_rho`, which reuses the
-    start stage's T(u_0) and costs one T evaluation, and the stage at
-    u_{k+1} has the learned step of Malitsky and Mishchenko (Adaptive
-    gradient descent without descent, ICML 2020)
+    rho_0 = rho_ref from :func:`start_stage`, and the stage at u_{k+1}
+    has the learned step of Malitsky and Mishchenko (Adaptive gradient
+    descent without descent, ICML 2020)
 
         rho_{k+1} = min(1.2 rho_k, 0.5 ||u_{k+1} - u_k|| / ||T(u_{k+1}) - T(u_k)||),
 
@@ -677,11 +649,8 @@ def iterate_residual(problem, config, u, update, details, lyapunov=None):
     report details gain ``rho``, the rho of the final stage, and
     ``rho_ref``.
     """
-    gu, t = g_value(problem, u), effective_T(problem, u)
-    rho_ref = config.rho
-    if rho_ref is None:
-        rho_ref = first_difference_rho(problem, u, gu, t)
-    s = Stage(gu, t, project(problem.K, gu - rho_ref * t), rho_ref)
+    s = start_stage(problem, config, u)
+    rho_ref = s.rho
 
     def bound(s):
         norm = s.norm()

@@ -5,8 +5,8 @@ step for general bifunctions, so the per-iteration subproblem is a
 first-class capability: the caller supplies an oracle and the solvers
 drive it.  The linear/projection reduction ships as the only built-in.
 The oracle solvers take rho = 1 when config.rho is None; the
-higher-order solver takes default_rho, 0.5 / L from the Lipschitz probe,
-and keeps it for the whole run.
+higher-order solver takes rho_ref from one first difference at the start
+point and keeps it for the whole run.
 The higher-order two-step half-steps are p-th power subproblems solved by
 a bracketed root search on one scalar; the implicit mode is a resolvent step.
 """
@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import (
     check_divergence,
-    default_rho,
     effective_T,
+    first_difference_rho,
     g_value,
     inner_fixed_point,
     iterate,
@@ -335,6 +335,8 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     ----------
     problem : HigherOrderProblem
     config : SolveConfig, optional
+        rho None runs at rho_ref from :func:`~gvikit.core.first_difference_rho`
+        at u_0, whose T(u_0) also seeds the implicit mode's first anchor.
     u0 : array_like, optional
     mode : {"two_step", "implicit"}
 
@@ -354,8 +356,11 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     base = problem.base
     if base.g is not None:
         raise CapabilityError("the built-in subproblem solver needs g = identity")
-    config, rho, u = prepare_solve(base, config, u0, default=default_rho)
+    config, rho, u = prepare_solve(base, config, u0)
     last = None  # (anchor, T(anchor)) of the last implicit inner evaluation
+    if rho is None:
+        last = u, effective_T(base, u)
+        rho = first_difference_rho(base, u, u, last[1])
 
     def step(u, k):
         # The resolvent map, composed with P_K (which keeps its fixed points) so T sees only K;

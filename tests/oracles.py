@@ -9,8 +9,8 @@ convexity sweep's array code must reproduce bit for bit, the dense matrix and de
 example3's stencil and closed-form solution replace, enumeration of
 every active set for the projection onto a box or simplex cut by a
 hyperplane, at sizes no enumeration reaches, a check of that
-projection's optimality conditions, and the projection residual over a
-box by a bare clip.
+projection's optimality conditions, and the projection residual and a
+sampled Lipschitz bound over a box by a bare clip.
 """
 
 import itertools
@@ -178,6 +178,24 @@ def box_projection_residual(T, lo, hi, u, rho):
     """||u - min(max(u - rho T(u), lo), hi)||, the projection residual over a box, by a bare clip."""
     u = np.asarray(u, dtype=float)
     return float(np.linalg.norm(u - np.minimum(np.maximum(u - rho * np.asarray(T(u), dtype=float), lo), hi)))
+
+
+def box_lipschitz_sample(T, lo, hi, dim, trials=20, seed=0, eps=1e-4):
+    """Largest sampled ||T(x + eps*d) - T(x)|| / eps over unit directions d.
+
+    Each base point x is a standard normal draw clipped to the box
+    [lo, hi] by a bare clip, and d is the next standard normal draw,
+    normalized, both from ``default_rng(seed)``.
+    """
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        x = np.minimum(np.maximum(rng.standard_normal(dim), lo), hi)
+        d = rng.standard_normal(dim)
+        d /= max(np.linalg.norm(d), 1e-30)
+        diff = np.asarray(T(x + eps * d), dtype=float) - np.asarray(T(x), dtype=float)
+        worst = max(worst, float(np.linalg.norm(diff)) / eps)
+    return worst
 
 
 def example3_dense(n):

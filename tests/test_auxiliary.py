@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, p1_feasible_samples, p1_h1, p1_solution_branches
+from oracles import box_projection_residual, fd_gradient, p1_feasible_samples, p1_h1, p1_solution_branches
 
 from gvikit import (
     ControlledOperator,
@@ -237,3 +237,17 @@ def test_gap_descent_converges_on_example3_at_fixed_rho():
     problem = build_problem(ProblemSpec("example3", n=100))
     report = solve_gap_descent(problem, SolveConfig(rho=0.15))
     assert report.converged
+
+
+@pytest.mark.parametrize("spec", [("example3", 10), ("example3", 100), ("example3", 1000), ("example4", 10),
+                                  ("example4", 100), ("example4", 1000), ("example4", 10000)],
+                         ids=lambda spec: f"{spec[0]}-{spec[1]}")
+def test_gap_descent_converges_at_the_default_rho(spec):
+    # rho None runs at rho_ref from the first difference at u_0, and the
+    # stop ||d|| <= tol is the projection residual at that rho.
+    problem = build_problem(ProblemSpec(*spec))
+    config = SolveConfig()
+    report = solve_gap_descent(problem, config)
+    assert report.converged
+    lo, hi = np.zeros(problem.dim), np.ones(problem.dim)
+    assert box_projection_residual(problem.T, lo, hi, report.solution, report.details["rho"]) <= config.tol

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient
+from oracles import box_lipschitz_sample, fd_gradient
 
 from gvikit import (
     ALGORITHMS,
@@ -12,8 +12,6 @@ from gvikit import (
     SolveConfig,
     build_problem,
     complementarity_gap,
-    default_rho,
-    estimate_lipschitz,
     is_solution,
     quasi_to_general,
     residual,
@@ -214,7 +212,7 @@ def test_wiener_hopf_shift_equivalence(example4_10):
 def test_residual_continuity_smoke_bound(example3_10):
     rng = np.random.default_rng(1)
     rho = 1.0
-    L = estimate_lipschitz(example3_10)
+    L = box_lipschitz_sample(example3_10.T, example3_10.K.lo, example3_10.K.hi, 10)
     bound = 10.0 * (1.0 + rho * L + 2.0)
     for _ in range(50):
         u = rng.uniform(-1.0, 2.0, 10)
@@ -278,12 +276,12 @@ def test_problem_validation_and_inverse_probe():
     np.testing.assert_allclose(ok.g_inverse(ok.g(np.array([1.0, -2.0]))), [1.0, -2.0])
 
 
-def test_lipschitz_estimate_matches_linear_operator():
-    M = np.array([[3.0, 0.0], [0.0, 0.5]])
-    prob = GviProblem(dim=2, T=lambda u: M @ u, K=WholeSpace())
-    L = estimate_lipschitz(prob)
-    assert 1.0 <= L <= 3.0 + 1e-6
-    assert default_rho(prob) == pytest.approx(0.5 / L)
+def test_inverse_probe_without_g_checks_against_the_identity():
+    # No g means g is the identity, so the probe compares g_inverse(u) with u.
+    with pytest.raises(ValueError, match="g_inverse"):
+        GviProblem(dim=2, T=lambda u: u, K=WholeSpace(), g_inverse=lambda y: 2.0 * y)
+    ok = GviProblem(dim=2, T=lambda u: u, K=WholeSpace(), g_inverse=lambda y: np.array(y))
+    np.testing.assert_array_equal(ok.g_inverse(np.array([1.0, -2.0])), [1.0, -2.0])
 
 
 def test_resolve_rho_prefers_explicit_value(example4_10):

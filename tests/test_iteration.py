@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import box_projection_residual
 
+import gvikit.auxiliary
 import gvikit.equilibrium
 import gvikit.sets
 import gvikit.wiener_hopf
@@ -23,15 +24,16 @@ from gvikit import (
     WholeSpace,
     Simplex,
     build_problem,
-    default_rho,
     project_intersection,
     projection_aux_oracle,
     residual,
     solve_double_projection_optimal,
     solve_dynamical,
     solve_eq_inertial,
+    solve_gap_descent,
     solve_higher_order,
 )
+from gvikit.core import first_difference_rho
 from gvikit.errors import UnsupportedSetError
 
 # T evaluations per iteration at a fixed rho: the stage at each new
@@ -293,7 +295,49 @@ def test_learned_step_costs_no_operator_evaluation():
     report = ALGORITHMS["projection"](problem, SolveConfig())
     assert report.converged
     assert calls[0] == 1 + report.iterations + 1
-    assert report.details["rho"] > default_rho(problem)
+    assert report.details["rho"] > report.details["rho_ref"]
+
+
+# Fixed-rho solvers that take rho_ref when config.rho is None, with the
+# T evaluations the default run adds to a run at rho = rho_ref: the first
+# difference, and T(u_0) too where the fixed-rho start does not evaluate it.
+FIXED_RHO_EXTRA_T = {"gap-descent": 1, "two_step-p2": 2, "two_step-p3": 2, "implicit-p2": 1, "implicit-p3": 1}
+
+
+def _fixed_rho_run(case, problem, config):
+    if case == "gap-descent":
+        return solve_gap_descent(problem, config)
+    mode, p = case.split("-p")
+    return solve_higher_order(HigherOrderProblem(base=problem, p=float(p), mu=0.5), config, mode=mode)
+
+
+@pytest.mark.parametrize("spec", [("example3", 100), ("example4", 10)], ids=lambda spec: f"{spec[0]}-{spec[1]}")
+@pytest.mark.parametrize("case", FIXED_RHO_EXTRA_T)
+def test_fixed_rho_solvers_take_rho_ref_from_two_T_evaluations(case, spec, monkeypatch):
+    # T(u_0) and T at the first difference's point, then the loop; the
+    # implicit mode's first anchor is u_0, whose T it already has.
+    base = build_problem(ProblemSpec(*spec))
+    problem, calls = _counted(base)
+    module = gvikit.auxiliary if case == "gap-descent" else gvikit.equilibrium
+    before_loop = []
+    loop = module.iterate
+
+    def counted_loop(*args, **kwargs):
+        before_loop.append(calls[0])
+        return loop(*args, **kwargs)
+
+    monkeypatch.setattr(module, "iterate", counted_loop)
+    report = _fixed_rho_run(case, problem, SolveConfig())
+    assert report.converged
+    assert before_loop == [2]
+    u0 = np.zeros(base.dim)
+    assert report.details["rho"] == first_difference_rho(base, u0, u0, base.T(u0))
+
+    fixed, fixed_calls = _counted(base)
+    at_rho = _fixed_rho_run(case, fixed, SolveConfig(rho=report.details["rho"]))
+    assert at_rho.solution.tobytes() == report.solution.tobytes()
+    assert at_rho.iterations == report.iterations
+    assert calls[0] == fixed_calls[0] + FIXED_RHO_EXTRA_T[case]
 
 
 @pytest.mark.parametrize("case", ["higher-order-implicit-p2", "higher-order-implicit-p3", "eq-inertial",
