@@ -94,12 +94,11 @@ def solve_three_step(problem, config=None, u0=None):
     return report
 
 
-def _gap(problem, u, s, rho):
-    # Gap value from the stage s at u, computed with step rho.
-    shifted = s.gu - rho * s.t
-    dist = float(np.linalg.norm(s.p - shifted))
-    value = 0.5 * (float(np.linalg.norm(shifted - s.gu)) ** 2 - dist**2)
-    return GapEvaluation(value=value, minimizer_point=recover_iterate(problem, u, s.p), distance_part=dist)
+def _gap_value(gu, t, p, rho):
+    # (1/2)(||rho t||^2 - ||p - (gu - rho t)||^2) expanded, so that the two
+    # squares do not cancel when rho^2 ||t||^2 is large beside the gap.
+    r = gu - p
+    return rho * float(t @ r) - 0.5 * float(r @ r)
 
 
 def gap_N(problem, u, rho):
@@ -123,7 +122,9 @@ def gap_N(problem, u, rho):
     if not rho > 0:
         raise ValueError("rho must be positive")
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    return _gap(problem, u, projection_stage(problem, u, rho), rho)
+    s = projection_stage(problem, u, rho)
+    dist = float(np.linalg.norm(s.p - (s.gu - rho * s.t)))
+    return GapEvaluation(_gap_value(s.gu, s.t, s.p, rho), recover_iterate(problem, u, s.p), dist)
 
 
 def solve_gap_descent(problem, config=None, u0=None):
@@ -157,7 +158,7 @@ def solve_gap_descent(problem, config=None, u0=None):
     config, _, u = prepare_solve(problem, config, u0)
     s = start_stage(problem, config, u)
     rho = s.rho
-    gap = _gap(problem, u, s, rho).value
+    gap = _gap_value(s.gu, s.t, s.p, rho)
 
     def step(u, k):
         nonlocal s, gap
@@ -167,7 +168,7 @@ def solve_gap_descent(problem, config=None, u0=None):
         for _ in range(_MAX_BACKTRACK + 1):
             trial = u + t * d
             s_trial = projection_stage(problem, trial, rho)
-            gap_trial = _gap(problem, trial, s_trial, rho).value
+            gap_trial = _gap_value(s_trial.gu, s_trial.t, s_trial.p, rho)
             if gap_trial <= gap - config.alpha * t * dnorm_sq:
                 break
             t *= config.gamma
@@ -215,9 +216,7 @@ def regularized_gap(T2, g, K, u, z, rho):
     gu = u if g is None else np.atleast_1d(np.asarray(g(u), dtype=float))
     shifted = gu - rho * Tval
     u_K = project(K, shifted)
-    dist = float(np.linalg.norm(u_K - shifted))
-    value = 0.5 * (rho**2 * float(Tval @ Tval) - dist**2)
-    return GapEvaluation(value=value, minimizer_point=u_K, distance_part=dist)
+    return GapEvaluation(_gap_value(gu, Tval, u_K, rho), u_K, float(np.linalg.norm(u_K - shifted)))
 
 
 def regularized_gap_gradient(T2, g, K, u, z, rho, g_jacobian=None):

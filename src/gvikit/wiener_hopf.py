@@ -29,8 +29,8 @@ class ArmijoResult:
     trial_T: np.ndarray
 
 
-def armijo_search(problem, u, R_u, gamma, sigma, T_u=None):
-    """Find the smallest m >= 0 with ⟨T(u) - T(u - γ^m R), R⟩ ≤ σ‖R‖².
+def armijo_search(problem, u, R_u, gamma, sigma, T_u=None, start=0):
+    """Find the smallest m >= start with ⟨T(u) - T(u - γ^m R), R⟩ ≤ σ‖R‖².
 
     Parameters
     ----------
@@ -43,39 +43,47 @@ def armijo_search(problem, u, R_u, gamma, sigma, T_u=None):
         Backtracking ratio and sufficient-decrease scalar, both in (0, 1).
     T_u : ndarray, optional
         T(u) when the caller already has it; evaluated otherwise.
+    start : int, optional
+        First power tried, in [0, 64]; T is evaluated at the trial points
+        of m = start, start + 1, ..., so m - start + 1 times.
 
     Returns
     -------
     ArmijoResult
-        With eta = gamma**m, trial_point = u - eta*R_u and trial_T the
-        operator T at trial_point.
+        With eta = gamma**m, formed as m products from 1.0, trial_point
+        = u - eta*R_u and trial_T the operator T at trial_point.
 
     Raises
     ------
     LineSearchError
-        If no m ≤ 64 satisfies the inequality (signals wrong scaling).
+        If no power from start up to 64 satisfies the inequality
+        (signals wrong scaling).
     """
     if not 0 < gamma < 1 or not 0 < sigma < 1:
         raise ValueError("gamma and sigma must lie in (0, 1)")
     rsq = float(R_u @ R_u)
     if rsq == 0.0:
         raise ValueError("R_u must be nonzero")
+    if not 0 <= start <= _MAX_ARMIJO_POWER:
+        raise ValueError("start must lie in [0, 64]")
     Tu = effective_T(problem, u) if T_u is None else T_u
     eta = 1.0
-    for m in range(_MAX_ARMIJO_POWER + 1):
+    for _ in range(start):
+        eta *= gamma
+    for m in range(start, _MAX_ARMIJO_POWER + 1):
         trial = u - eta * R_u
         T_trial = effective_T(problem, trial)
         if float((Tu - T_trial) @ R_u) <= sigma * rsq:
             return ArmijoResult(m=m, eta=eta, trial_point=trial, trial_T=T_trial)
         eta *= gamma
-    raise LineSearchError("no step within 64 backtracking halvings; check operator scaling")
+    raise LineSearchError(f"no power of gamma from {start} up to 64 passes the test; check operator scaling")
 
 
-def _search_step(problem, u, s, config):
-    # Line search, direction, and step length shared by both
-    # double-projection correctors, from the rho = 1 stage s at u.
+def _search_step(problem, u, s, config, start):
+    # Line search from the power start, direction, and step length shared
+    # by both double-projection correctors, from the rho = 1 stage s at u.
     R = s.r
-    search = armijo_search(problem, u, R, config.gamma, config.sigma, T_u=s.t)
+    search = armijo_search(problem, u, R, config.gamma, config.sigma, T_u=s.t, start=start)
     eta = search.eta
     y = recover_iterate(problem, u, s.gu - eta * R)
     # Only for the identity g is y the Armijo trial point itself.
@@ -93,9 +101,12 @@ def _solve_double_projection(problem, config, u0, optimal):
     # Both methods take rho = 1 whatever config.rho says, so rho is not learned.
     config, _, u = prepare_solve(problem, config, u0)
     config = replace(config, rho=1.0)
+    last_m = 0
 
     def update(u, s, k):
-        d, dsq, alpha, c, search = _search_step(problem, u, s, config)
+        nonlocal last_m
+        d, dsq, alpha, c, search = _search_step(problem, u, s, config, max(0, last_m - 1))
+        last_m = search.m
         info = {"m": search.m, "eta": search.eta, "c": c, "alpha": alpha}
         moved = s.gu + alpha * d
         if optimal and dsq > 0.0:
@@ -121,6 +132,10 @@ def solve_double_projection_basic(problem, config=None, u0=None):
     z = P_K[g(u) - T(u)], R = g(u) - g(z), Armijo gives eta,
     g(y) = (1-eta)*g(u) + eta*g(z), d = -(eta*R - eta*T(u) + T(y)),
     alpha = eta*⟨R, R - T(u) + T(y)⟩ / ‖d‖², g(u+) = P_K[g(u) + alpha*d].
+    Each search starts at the power max(0, m' - 1), one above the power
+    m' accepted last, and costs m - start + 1 T evaluations; the iterates
+    are those of searches from 0 whenever each of those would accept a
+    power of at least m' - 1, as on the monotone registry problems.
     Stops on ‖R(u)‖ ≤ tol; hitting the iteration cap yields a
     non-converged report rather than an error.
 
@@ -140,10 +155,10 @@ def solve_double_projection_basic(problem, config=None, u0=None):
 def solve_double_projection_optimal(problem, config=None, u0=None):
     """Double-projection method correcting onto K intersected with a hyperplane.
 
-    Identical predictor, line search, and direction as the basic method;
-    the corrector projects g(u) + alpha*d onto K ∩ H where H is the
-    hyperplane {w : ⟨w - g(u), d⟩ = eta*⟨R, R - T(u) + T(y)⟩}.  When the
-    intersection is infeasible the basic corrector is used for that
+    Identical predictor, warm-started line search, and direction as the
+    basic method; the corrector projects g(u) + alpha*d onto K ∩ H where H
+    is the hyperplane {w : ⟨w - g(u), d⟩ = eta*⟨R, R - T(u) + T(y)⟩}.  When
+    the intersection is infeasible the basic corrector is used for that
     iteration and the fallback is recorded in the trace.
 
     Parameters

@@ -9,12 +9,14 @@ convexity sweep's array code must reproduce bit for bit, the dense matrix and de
 example3's stencil and closed-form solution replace, enumeration of
 every active set for the projection onto a box or simplex cut by a
 hyperplane, at sizes no enumeration reaches, a check of that
-projection's optimality conditions, and the projection residual and a
-sampled Lipschitz bound over a box by a bare clip.
+projection's optimality conditions, the projection residual and a
+sampled Lipschitz bound over a box by a bare clip, and the gap over a
+box in exact rational arithmetic.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import sympy as sp
@@ -178,6 +180,23 @@ def box_projection_residual(T, lo, hi, u, rho):
     """||u - min(max(u - rho T(u), lo), hi)||, the projection residual over a box, by a bare clip."""
     u = np.asarray(u, dtype=float)
     return float(np.linalg.norm(u - np.minimum(np.maximum(u - rho * np.asarray(T(u), dtype=float), lo), hi)))
+
+
+def box_gap(T, lo, hi, u, rho):
+    """max over v in [lo, hi] of rho <T(u), u - v> - ||u - v||^2 / 2, in exact rationals.
+
+    The maximizer is the clip of u - rho T(u), taken coordinate by
+    coordinate in ``fractions.Fraction``, so nothing rounds before the
+    final float.
+    """
+    u = np.asarray(u, dtype=float)
+    t = np.asarray(T(u), dtype=float)
+    rho = Fraction(rho)
+    total = Fraction(0)
+    for ui, ti, a, b in zip(map(Fraction, u.tolist()), map(Fraction, t.tolist()), lo.tolist(), hi.tolist()):
+        step = ui - min(max(ui - rho * ti, Fraction(a)), Fraction(b))
+        total += rho * ti * step - step * step / 2
+    return float(total)
 
 
 def box_lipschitz_sample(T, lo, hi, dim, trials=20, seed=0, eps=1e-4):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import box_projection_residual, fd_gradient, p1_feasible_samples, p1_h1, p1_solution_branches
+from oracles import box_gap, box_projection_residual, fd_gradient, p1_feasible_samples, p1_h1, p1_solution_branches
 
 from gvikit import (
     ControlledOperator,
@@ -76,6 +76,22 @@ def test_gap_hand_value_at_origin(example3_2):
     # vanishes and the gap is half the squared operator norm.
     out = gap_N(example3_2, np.zeros(2), rho=1.0)
     assert out.value == pytest.approx(1.0)
+
+
+def test_gap_keeps_its_digits_where_rho_squared_T_squared_is_large():
+    # 999 coordinates sit on the upper bound with T in [-2e4, -1e4] pushing
+    # out of the box: each adds at least 1e8 to ||rho T||^2 and to the
+    # squared distance but nothing to the gap, which is 5e-13 from the one
+    # free coordinate.
+    n = 1000
+    b = 1.0 + 1e4 * np.random.default_rng(0).uniform(1.0, 2.0, n)
+    b[0] = 0.5 - 1e-6
+    problem = GviProblem(dim=n, T=lambda u: u - b, K=Box(np.zeros(n), np.ones(n)))
+    u = np.ones(n)
+    u[0] = 0.5
+    exact = box_gap(problem.T, np.zeros(n), np.ones(n), u, 1.0)
+    assert exact == pytest.approx(5e-13, rel=1e-6, abs=0.0)
+    assert gap_N(problem, u, rho=1.0).value == pytest.approx(exact, rel=1e-9, abs=0.0)
 
 
 def test_gap_requires_positive_rho(example3_2):
@@ -240,7 +256,8 @@ def test_gap_descent_converges_on_example3_at_fixed_rho():
 
 
 @pytest.mark.parametrize("spec", [("example3", 10), ("example3", 100), ("example3", 1000), ("example4", 10),
-                                  ("example4", 100), ("example4", 1000), ("example4", 10000)],
+                                  ("example4", 100), ("example4", 1000), ("example4", 10000),
+                                  ("example4", 100000)],
                          ids=lambda spec: f"{spec[0]}-{spec[1]}")
 def test_gap_descent_converges_at_the_default_rho(spec):
     # rho None runs at rho_ref from the first difference at u_0, and the

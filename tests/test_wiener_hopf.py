@@ -1,10 +1,13 @@
 """Predictor-corrector and double-projection solvers with line search."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import gvikit.wiener_hopf
 from gvikit import (
+    ALGORITHMS,
     GviProblem,
     SolveConfig,
     armijo_search,
@@ -70,24 +73,84 @@ def test_armijo_smallest_index_property():
     rng = np.random.default_rng(0)
     for _ in range(30):
         scale = rng.uniform(0.1, 30.0)
-        prob = GviProblem(dim=3, T=lambda u, s=scale: s * u, K=WholeSpace())
+        calls = [0]
+
+        def T(u, s=scale):
+            calls[0] += 1
+            return s * u
+
+        prob = GviProblem(dim=3, T=T, K=WholeSpace())
         u = rng.standard_normal(3)
         R = rng.standard_normal(3)
-        out = armijo_search(prob, u, R, 0.8, 0.5)
+        Tu = scale * u
         rsq = float(R @ R)
 
         def lhs(m):
-            return float((prob.T(u) - prob.T(u - 0.8**m * R)) @ R)
+            return float((Tu - scale * (u - 0.8**m * R)) @ R)
 
-        assert lhs(out.m) <= 0.5 * rsq + 1e-12
-        if out.m > 0:
-            assert lhs(out.m - 1) > 0.5 * rsq
+        for start in (0, int(rng.integers(0, 25))):
+            calls[0] = 0
+            out = armijo_search(prob, u, R, 0.8, 0.5, T_u=Tu, start=start)
+            assert out.m >= start
+            assert lhs(out.m) <= 0.5 * rsq + 1e-12
+            if out.m > start:
+                assert lhs(out.m - 1) > 0.5 * rsq
+            assert calls[0] == out.m - start + 1
+
+
+def test_armijo_forms_eta_by_the_same_products_from_any_start():
+    # eta is gamma multiplied in m times from 1.0, which is not always
+    # gamma**m to the last bit: 0.8**16 differs from sixteen products.
+    prob = GviProblem(dim=2, T=lambda u: 10.0 * u, K=WholeSpace())
+    for start in (0, 5, 14, 16, 20):
+        out = armijo_search(prob, np.ones(2), np.array([1.0, 1.0]), 0.8, 0.5, start=start)
+        eta = 1.0
+        for _ in range(out.m):
+            eta *= 0.8
+        assert (out.m, out.eta) == (max(14, start), eta)
+    assert 0.8**16 != armijo_search(prob, np.ones(2), np.array([1.0, 1.0]), 0.8, 0.5, start=16).eta
 
 
 def test_armijo_failure_on_pathological_scaling():
     prob = GviProblem(dim=1, T=lambda u: 1e30 * u, K=WholeSpace())
-    with pytest.raises(LineSearchError):
+    with pytest.raises(LineSearchError, match="from 0 up to 64"):
         armijo_search(prob, np.array([1.0]), np.array([1.0]), 0.8, 0.5)
+    with pytest.raises(LineSearchError, match="from 40 up to 64"):
+        armijo_search(prob, np.array([1.0]), np.array([1.0]), 0.8, 0.5, start=40)
+
+
+@pytest.mark.parametrize("start", [-1, 65])
+def test_armijo_rejects_a_start_power_outside_the_search(start):
+    prob = GviProblem(dim=1, T=lambda u: u, K=WholeSpace())
+    with pytest.raises(ValueError, match="start"):
+        armijo_search(prob, np.array([1.0]), np.array([1.0]), 0.8, 0.5, start=start)
+
+
+@pytest.mark.parametrize(
+    ("alg", "spec", "rho"),
+    [("dp-basic", ("example3", 2000), 0.15), ("dp-optimal", ("example4", 1000), None)],
+    ids=["dp-basic-example3", "dp-optimal-example4"],
+)
+def test_warm_armijo_start_keeps_the_iterates_of_searches_from_zero(alg, spec, rho, monkeypatch):
+    problem = build_problem(ProblemSpec(*spec))
+    calls = [0]
+
+    def counted_T(x):
+        calls[0] += 1
+        return problem.T(x)
+
+    counted = dataclasses.replace(problem, T=counted_T)
+    warm = ALGORITHMS[alg](counted, SolveConfig(rho=rho))
+    warm_calls, calls[0] = calls[0], 0
+    search = gvikit.wiener_hopf.armijo_search
+    monkeypatch.setattr(gvikit.wiener_hopf, "armijo_search",
+                        lambda *args, start=0, **kwargs: search(*args, **kwargs))
+    cold = ALGORITHMS[alg](counted, SolveConfig(rho=rho))
+    assert warm.converged
+    assert warm.iterations == cold.iterations
+    assert warm.solution.tobytes() == cold.solution.tobytes()
+    assert [rec.info["m"] for rec in warm.trace[1:]] == [rec.info["m"] for rec in cold.trace[1:]]
+    assert warm_calls < calls[0]
 
 
 def test_dp_basic_zero_operator_converges_without_stepping(zero_operator_problem):
