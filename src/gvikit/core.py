@@ -177,7 +177,7 @@ class SolveConfig:
         Floor of the stop test of the inner fixed-point loops of implicit
         schemes, which otherwise stop relative to their first step (see
         :func:`inner_fixed_point`); also the bound on the distance of each
-        two-step higher-order power subproblem's answer from its minimizer.
+        higher-order two-step half-step from the minimizer on its arc.
     inner_max_iters : int
         Cap for the inner fixed-point loops only.
     alpha_schedule : float or callable, optional

@@ -7,8 +7,8 @@ drive it.  The linear/projection reduction ships as the only built-in.
 The oracle solvers take rho = 1 when config.rho is None; the
 higher-order solver takes rho_ref from one first difference at the start
 point and keeps it for the whole run.
-The higher-order two-step half-steps are p-th power subproblems solved by
-a bracketed root search on one scalar; the implicit mode is a resolvent step.
+Each higher-order two-step half-step is a projection step P_K[u - tau*rho*T(u)] at
+the tau that solves its p-th power subproblem; the implicit mode is a resolvent step.
 """
 
 from __future__ import annotations
@@ -279,28 +279,25 @@ def solve_varlike(problem, config=None, u0=None):
     return iterate(u, np.inf, step, config, {"algorithm": "varlike", "rho": rho})
 
 
-def _power_subproblem(problem, anchor, center, rho, config):
-    """Minimize rho*<T(anchor), v> + (1/2)||v - center||^2 + (nu/p)||v - anchor||^p over K.
+def _half_step(problem, u, t, rho, config):
+    """Minimize rho*<t, v> + (1/2)||v - u||^2 + (nu/p)||v - u||^p over K, given t = T(u).
 
-    For p != 2 the minimizer is V(tau) = P_K[a + tau*(q - a)], q = center - rho*Ta,
-    at the one root tau in (0, 1] of psi(tau) = nu*tau*||V(tau) - a||^(p-2) + tau - 1:
-    the optimality condition with tau = 1/(1 + nu*||v - a||^(p-2)).  Illinois regula
-    falsi from psi(0+) = -1 <= psi(1) stops at (hi - lo)*||q - a|| <= inner_tol, so, as
-    P_K is nonexpansive, the V returned lies within inner_tol of the minimizer.
+    The minimizer is V(tau) = P_K[u - tau*rho*t] at tau = 1/(1 + nu*||V - u||^(p-2)):
+    1/(1 + nu) for p = 2, else the one root in (0, 1] of psi(tau) = nu*tau*||V(tau) - u||^(p-2)
+    + tau - 1.  Illinois regula falsi from psi(0+) = -1 <= psi(1) stops at
+    (hi - lo)*rho*||t|| <= inner_tol, so, as P_K is nonexpansive, the V returned lies
+    within inner_tol of the minimizer.
     """
-    base = problem.base
-    p, nu = problem.p, problem.nu
-    Ta = effective_T(base, anchor)
+    K, p, nu = problem.base.K, problem.p, problem.nu
+    d = -rho * t
     if p == 2.0:
-        return project(base.K, (center + nu * anchor - rho * Ta) / (1.0 + nu))
-
-    d = center - rho * Ta - anchor  # q - a
+        return project(K, u + d / (1.0 + nu))
     width = vector_norm(d)
 
     def psi(tau):
-        v = project(base.K, anchor + tau * d)
-        s = vector_norm(v - anchor)
-        # For p < 2, v = a at tau > 0 puts q - a in K's normal cone at a: a = P_K[q] is the minimizer.
+        v = project(K, u + tau * d)
+        s = vector_norm(v - u)
+        # For p < 2, v = u at tau > 0 puts -t in K's normal cone at u: u is the minimizer.
         return v, (nu * tau * s ** (p - 2.0) + tau - 1.0 if s > 0.0 or p > 2.0 else 0.0)
 
     lo, hi, f_lo, f_last = 0.0, 1.0, -1.0, 0.0
@@ -323,12 +320,13 @@ def _power_subproblem(problem, anchor, center, rho, config):
 def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     """Iterate the p-th power regularized subproblem.
 
-    mode="two_step" runs two self-anchored half-steps per iteration:
-    y = sub(anchor=u_n, center=u_n), then u+ = sub(anchor=y, center=y);
-    for p = 2, nu = 0 each half-step is exactly a projection.
-    mode="implicit" instead solves u+ = sub(anchor=u+, center=u_n), where the
-    penalty's gradient is 0: whatever p and nu are, u+ is the proximal-point
-    resolvent (I + rho*T + N_K)^{-1}(u_n), the fixed point of
+    mode="two_step" runs two half-steps per iteration, y = P_K[u_n - tau*rho*T(u_n)]
+    then u+ = P_K[y - tau'*rho*T(y)], each at the tau that solves the subproblem
+    anchored and centered at its start (tau = 1 for nu = 0).  For p < 2, tau
+    shrinks with the step: the mode is sublinear there and may end at max_iters.
+    mode="implicit" instead anchors the subproblem at u+ and centers it at u_n,
+    where the penalty's gradient is 0: whatever p and nu are, u+ is the
+    proximal-point resolvent (I + rho*T + N_K)^{-1}(u_n), the fixed point of
     w -> P_K[u_n - rho*T(P_K w)].  Both modes stop on ||u+ - u_n|| <= tol.
 
     Parameters
@@ -336,7 +334,7 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     problem : HigherOrderProblem
     config : SolveConfig, optional
         rho None runs at rho_ref from :func:`~gvikit.core.first_difference_rho`
-        at u_0, whose T(u_0) also seeds the implicit mode's first anchor.
+        at u_0, whose T(u_0) also serves the first step.
     u0 : array_like, optional
     mode : {"two_step", "implicit"}
 
@@ -357,24 +355,25 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     if base.g is not None:
         raise CapabilityError("the built-in subproblem solver needs g = identity")
     config, rho, u = prepare_solve(base, config, u0)
-    last = None  # (anchor, T(anchor)) of the last implicit inner evaluation
+    last = None  # (x, T(x)) of the last evaluation; u_0 and each implicit fixed point come back
+
+    def T_at(x):
+        nonlocal last
+        if last is None or not np.array_equal(last[0], x):
+            last = x, effective_T(base, x)
+        return last[1]
+
     if rho is None:
-        last = u, effective_T(base, u)
-        rho = first_difference_rho(base, u, u, last[1])
+        rho = first_difference_rho(base, u, u, T_at(u))
 
     def step(u, k):
-        # The resolvent map, composed with P_K (which keeps its fixed points) so T sees only K;
-        # if a trial lands on the fixed point, T at the next step's first anchor is known.
+        # The resolvent map, composed with P_K (which keeps its fixed points) so T sees only K.
         def resolvent_map(w):
-            nonlocal last
-            anchor = project(base.K, w)
-            if last is None or not np.array_equal(last[0], anchor):
-                last = anchor, effective_T(base, anchor)
-            return project(base.K, u - rho * last[1])
+            return project(base.K, u - rho * T_at(project(base.K, w)))
 
         if mode == "two_step":
-            y = _power_subproblem(problem, u, u, rho, config)
-            u_next = _power_subproblem(problem, y, y, rho, config)
+            y = _half_step(problem, u, T_at(u), rho, config)
+            u_next = _half_step(problem, y, T_at(y), rho, config)
         else:
             u_next, _ = inner_fixed_point(resolvent_map, u.copy(), config, "higher-order implicit step", k)
         check_divergence(u_next)

@@ -280,7 +280,7 @@ def test_scheme_reductions_coincide(example4_5):
 
     hp = HigherOrderProblem(base=example4_5, p=2.0, mu=0.0)
     ho = solve_higher_order(hp, cfg)
-    assert np.max(np.abs(ho.solution - two_stage.solution)) <= 1e-10
+    assert np.array_equal(ho.solution, two_stage.solution)
 
     ts = solve_two_step(example4_5, SolveConfig(rho=0.5, beta_step=0.5, tol=1e-16, max_iters=10,
                                                 lam=0.0, xi=0.0))

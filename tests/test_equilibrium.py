@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from oracles import box_projection_residual
 
 from gvikit import (
     EquilibriumProblem,
     GviProblem,
     HigherOrderProblem,
+    ProblemSpec,
     SolveConfig,
     VarLikeProblem,
+    build_problem,
     diagonal_kernel_oracle,
     projection_aux_oracle,
     residual,
@@ -19,7 +22,7 @@ from gvikit import (
     solve_three_step,
     solve_varlike,
 )
-from gvikit.equilibrium import _power_subproblem
+from gvikit.equilibrium import _half_step
 from gvikit.errors import (
     CapabilityError,
     InnerLoopError,
@@ -87,6 +90,22 @@ def test_eq_pc_zero_bifunction_fixed_after_one_step():
     assert report.converged
     assert report.iterations == 1
     np.testing.assert_allclose(report.solution, np.zeros(3))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="under SolveConfig() the predictor sends u_0 = 0 to 1 and the corrector sends it back, so "
+    "the run stops after 1 step on a zero g-displacement at u = 0, where ||R(u, 1)|| = sqrt(n); "
+    "ROADMAP item 4's certified stop is meant to fix it",
+)
+@pytest.mark.parametrize("n", [10, 100])
+def test_eq_pc_converged_means_a_small_residual_at_the_default_rho(n):
+    base = build_problem(ProblemSpec("example3", n=n))
+    config = SolveConfig()
+    report = solve_eq_predictor_corrector(wrap_equilibrium(base), config)
+    if report.converged:
+        rho = report.details["rho"]
+        assert box_projection_residual(base.T, base.K.lo, base.K.hi, report.solution, rho) <= config.tol
 
 
 def test_eq_inertial_matches_known_solution(example3_10):
@@ -237,14 +256,17 @@ def test_diagonal_kernel_oracle_validation():
 
 
 def test_higher_order_degenerates_to_two_projection_steps(example4_5):
-    # With nu = 0 every half-step is a projection: in closed form for p = 2,
-    # and as the fixed point of the projected-gradient loop for p = 3.
+    # With nu = 0 every half-step is the projection step P_K[u - rho*T(u)]
+    # itself, at tau = 1 whatever p is, so the iterates agree to the bit.
     cfg = SolveConfig(rho=0.5, tol=1e-16, max_iters=10)
     ts_run = solve_three_step(example4_5, SolveConfig(rho=0.5, mu_step=0.0, beta_step=0.5,
                                                       tol=1e-16, max_iters=10))
-    for p in (2.0, 3.0):
+    plain = solve_projection(example4_5, SolveConfig(rho=0.5, tol=1e-16, max_iters=20))
+    assert plain.iterations == 20
+    for p in (1.5, 2.0, 3.0):
         ho_run = solve_higher_order(HigherOrderProblem(base=example4_5, p=p, mu=0.0), cfg)
-        np.testing.assert_allclose(ho_run.solution, ts_run.solution, rtol=0.0, atol=1e-8)
+        assert np.array_equal(ho_run.solution, ts_run.solution), p
+        assert np.array_equal(ho_run.solution, plain.solution), p
 
 
 def test_higher_order_cubic_penalty_converges_with_margin(example4_5):
@@ -265,25 +287,27 @@ def test_higher_order_cubic_penalty_converges_with_margin(example4_5):
 @pytest.mark.parametrize("K", [Box(np.zeros(6), np.ones(6)), Simplex(total=1.0), WholeSpace(),
                                Halfspace(np.arange(1.0, 7.0), 2.0)], ids=lambda K: type(K).__name__)
 def test_higher_order_subproblem_meets_its_optimality_condition(K, p):
-    # The minimizer v satisfies v = P_K[(q + lam*a)/(1 + lam)] with
-    # q = center - rho*T(a) and lam = nu*||v - a||^(p-2), the penalty's
-    # gradient being 0 at v = a.  Outside WholeSpace a quarter of the
-    # anchors lie outside K, as two_step's first anchor may.
+    # The half-step from a, given T(a), minimizes the subproblem anchored and
+    # centered at a: v = P_K[(q + lam*a)/(1 + lam)] with q = a - rho*T(a) and
+    # lam = nu*||v - a||^(p-2), the penalty's gradient being 0 at v = a.
+    # Outside WholeSpace a quarter of the anchors lie outside K, as two_step's
+    # first anchor may.  The half-step itself never evaluates T.
     rng = np.random.default_rng(11)
     n, rho, config = 6, 0.1, SolveConfig()
     M = rng.standard_normal((n, n))
     base = GviProblem(dim=n, T=lambda u: M @ u - 1.0, K=K)
-    problem = HigherOrderProblem(base=base, p=p, mu=0.5)
+    blind = GviProblem(dim=n, T=lambda u: pytest.fail("the half-step evaluated T"), K=K)
+    problem = HigherOrderProblem(base=blind, p=p, mu=0.5)
     for draw in range(40):
         anchor = 2.0 * rng.standard_normal(n)
         while draw % 4 == 0 and distance(K, anchor) == 0 and not isinstance(K, WholeSpace):
             anchor = 2.0 * rng.standard_normal(n)
         if draw % 4:
             anchor = project(K, anchor)
-        center = project(K, 2.0 * rng.standard_normal(n))
-        v = _power_subproblem(problem, anchor, center, rho, config)
+        t = base.T(anchor)
+        v = _half_step(problem, anchor, t, rho, config)
         assert distance(K, v) <= 1e-12
-        q = center - rho * base.T(anchor)
+        q = anchor - rho * t
         s = np.linalg.norm(v - anchor)
         lam = problem.nu * s ** (p - 2.0) if s > 0 else 0.0
         fixed = project(K, (q + lam * anchor) / (1.0 + lam))

@@ -221,14 +221,14 @@ def test_example4_higher_order_implicit_evaluates_T_once_per_point():
     assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
 
 
-@pytest.mark.parametrize("pid, mode, counts", [("example3", "two_step", (40, 80, 318)),
+@pytest.mark.parametrize("pid, mode, counts", [("example3", "two_step", (40, 80, 319)),
                                                ("example3", "implicit", (89, 380, 760)),
-                                               ("example4", "two_step", (72, 144, 622)),
+                                               ("example4", "two_step", (72, 144, 624)),
                                                ("example4", "implicit", (145, 401, 942))])
 def test_higher_order_p3_iterations_operator_evaluations_and_projections(pid, mode, counts, monkeypatch):
     # The small-mix runs at p = 3: (iterations, T calls, projections).  Each
-    # two_step power subproblem is one bracketed scalar search, a projection
-    # per trial; each implicit inner evaluation is two projections.
+    # two_step half-step is one bracketed scalar search, a projection per
+    # trial; each implicit inner evaluation is two projections.
     projections = [0]
     project = gvikit.equilibrium.project
 
@@ -307,10 +307,8 @@ def test_learned_step_costs_no_operator_evaluation():
     assert report.details["rho"] > report.details["rho_ref"]
 
 
-# Fixed-rho solvers that take rho_ref when config.rho is None, with the
-# T evaluations the default run adds to a run at rho = rho_ref: the first
-# difference, and T(u_0) too where the fixed-rho start does not evaluate it.
-FIXED_RHO_EXTRA_T = {"gap-descent": 1, "two_step-p2": 2, "two_step-p3": 2, "implicit-p2": 1, "implicit-p3": 1}
+# Fixed-rho solvers that take rho_ref when config.rho is None.
+FIXED_RHO = ["gap-descent", "two_step-p2", "two_step-p3", "implicit-p2", "implicit-p3"]
 
 
 def _fixed_rho_run(case, problem, config):
@@ -321,10 +319,10 @@ def _fixed_rho_run(case, problem, config):
 
 
 @pytest.mark.parametrize("spec", [("example3", 100), ("example4", 10)], ids=lambda spec: f"{spec[0]}-{spec[1]}")
-@pytest.mark.parametrize("case", FIXED_RHO_EXTRA_T)
+@pytest.mark.parametrize("case", FIXED_RHO)
 def test_fixed_rho_solvers_take_rho_ref_from_two_T_evaluations(case, spec, monkeypatch):
-    # T(u_0) and T at the first difference's point, then the loop; the
-    # implicit mode's first anchor is u_0, whose T it already has.
+    # T(u_0) and T at the first difference's point, then the loop, whose first
+    # step reuses T(u_0): the default run costs one T more than a run at rho_ref.
     base = build_problem(ProblemSpec(*spec))
     problem, calls = _counted(base)
     module = gvikit.auxiliary if case == "gap-descent" else gvikit.equilibrium
@@ -346,7 +344,7 @@ def test_fixed_rho_solvers_take_rho_ref_from_two_T_evaluations(case, spec, monke
     at_rho = _fixed_rho_run(case, fixed, SolveConfig(rho=report.details["rho"]))
     assert at_rho.solution.tobytes() == report.solution.tobytes()
     assert at_rho.iterations == report.iterations
-    assert calls[0] == fixed_calls[0] + FIXED_RHO_EXTRA_T[case]
+    assert calls[0] == fixed_calls[0] + 1
 
 
 @pytest.mark.parametrize("case", ["higher-order-implicit-p2", "higher-order-implicit-p3", "eq-inertial",
