@@ -14,15 +14,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    check_divergence,
     effective_T,
     g_value,
-    iterate,
     iterate_residual,
     prepare_solve,
     projection_stage,
     recover_iterate,
-    start_stage,
+    vector_norm,
 )
 from .errors import CapabilityError, StallError
 from .sets import project
@@ -133,15 +131,16 @@ def solve_gap_descent(problem, config=None, u0=None):
     Requires g to be the identity.  The direction is
     d = P_K[u - rho*T(u)] - u; backtracking picks the largest
     t = gamma**l with N[u + t*d] <= N[u] - alpha*t*||d||^2, and the
-    iteration stops when ||d|| <= tol.
+    iteration stops when ||d|| = ||R(u, rho)|| <= tol at the point it
+    returns, as :func:`~gvikit.core.iterate_residual` stops at a kept rho.
 
     Parameters
     ----------
     problem : GviProblem
     config : SolveConfig, optional
         alpha is the sufficient-decrease constant, gamma the
-        backtracking ratio; rho None runs at rho_ref (see
-        :func:`~gvikit.core.start_stage`).
+        backtracking ratio; rho None runs at rho_ref from
+        :func:`~gvikit.core.first_difference_rho` at u_0.
     u0 : array_like, optional
 
     Returns
@@ -156,30 +155,22 @@ def solve_gap_descent(problem, config=None, u0=None):
     if problem.g is not None:
         raise CapabilityError("gap descent needs g = identity")
     config, _, u = prepare_solve(problem, config, u0)
-    s = start_stage(problem, config, u)
-    rho = s.rho
-    gap = _gap_value(s.gu, s.t, s.p, rho)
 
-    def step(u, k):
-        nonlocal s, gap
+    def update(u, s, k):
+        gap = _gap_value(s.gu, s.t, s.p, s.rho)
         d = s.p - u
-        dnorm_sq = float(np.linalg.norm(d)) ** 2
+        dnorm_sq = vector_norm(d) ** 2
         t = 1.0
         for _ in range(_MAX_BACKTRACK + 1):
             trial = u + t * d
-            s_trial = projection_stage(problem, trial, rho)
-            gap_trial = _gap_value(s_trial.gu, s_trial.t, s_trial.p, rho)
+            s_trial = projection_stage(problem, trial, s.rho)
+            gap_trial = _gap_value(s_trial.gu, s_trial.t, s_trial.p, s.rho)
             if gap_trial <= gap - config.alpha * t * dnorm_sq:
-                break
+                return trial, {"gap": gap_trial, "t": t}, s_trial.t
             t *= config.gamma
-        else:
-            raise StallError("gap descent found no decreasing step within 64 backtracks")
-        check_divergence(trial)
-        s, gap = s_trial, gap_trial
-        return trial, float(np.linalg.norm(s.p - trial)), {"gap": gap, "t": t}
+        raise StallError("gap descent found no decreasing step within 64 backtracks")
 
-    details = {"algorithm": "gap-descent", "rho": rho}
-    return iterate(u, float(np.linalg.norm(s.p - u)), step, config, details, info={"gap": gap})
+    return iterate_residual(problem, config, u, update, {"algorithm": "gap-descent"}, learn=False)
 
 
 def _controlled_T(T2):

@@ -151,11 +151,12 @@ class SolveConfig:
     ----------
     rho : float, optional
         Step scalar.  None means rho_ref = 0.5 ||du|| / ||dT|| of one
-        first difference at the start point (see :func:`start_stage`).
-        The residual solvers start from it, learn rho along the run and
-        stop where the residual at rho_ref is at most tol (see
-        :func:`iterate_residual`); gap descent and the higher-order solver
-        keep it for the whole run; the oracle solvers take 1 instead.
+        first difference at the start point (see
+        :func:`first_difference_rho`).  The residual solvers start from
+        it and learn rho along the run, gap descent and the higher-order
+        solver keep it for the whole run, and all of them stop where the
+        residual at rho_ref is at most tol (see :func:`iterate_residual`);
+        the oracle solvers take 1 instead.
     tol : float
         Residual-norm stopping threshold.
     max_iters : int
@@ -299,11 +300,15 @@ class Stage(NamedTuple):
 def projection_stage(problem, u, rho, t=None):
     """Evaluate g, T and one projection at u; see :class:`Stage`.
 
-    ``t``, when given, is T(u) already known to the caller.
+    ``t``, when given, is T(u) already known to the caller.  rho None
+    takes rho_ref from :func:`first_difference_rho` at u, which reuses
+    T(u) and so costs one T evaluation.
     """
     gu = g_value(problem, u)
     if t is None:
         t = effective_T(problem, u)
+    if rho is None:
+        rho = first_difference_rho(problem, u, gu, t)
     return Stage(gu, t, project(problem.K, gu - rho * t), rho)
 
 
@@ -538,7 +543,7 @@ def inner_fixed_point(fn, w, config, tag, k, w_next=None):
     )
 
 
-def iterate(u, norm, step, config, details, info=None, lyapunov=None):
+def iterate(u, norm, step, config, details, lyapunov=None):
     """The outer loop of every solver.
 
     Steps until the stopping quantity drops to ``config.tol`` or
@@ -558,8 +563,6 @@ def iterate(u, norm, step, config, details, info=None, lyapunov=None):
     config : SolveConfig
     details : dict
         Report annotations.
-    info : dict, optional
-        Annotation of the start record.
     lyapunov : callable, optional
         u -> value recorded on every trace entry.
 
@@ -571,7 +574,7 @@ def iterate(u, norm, step, config, details, info=None, lyapunov=None):
     def record(u, norm, info):
         return TraceRecord(norm, None if lyapunov is None else lyapunov(u), info)
 
-    trace = [record(u, norm, info)]
+    trace = [record(u, norm, None)]
     k = 0
     while norm > config.tol and k < config.max_iters:
         u, norm, info = step(u, k)
@@ -606,20 +609,7 @@ def first_difference_rho(problem, u, gu, t):
     return _RHO_LOCAL * step / t_change
 
 
-def start_stage(problem, config, u):
-    """The stage at the start point u, at rho = ``config.rho`` or, when that is None, rho_ref.
-
-    rho_ref comes from :func:`first_difference_rho`, which reuses the
-    stage's T(u), so it costs one T evaluation.
-    """
-    gu, t = g_value(problem, u), effective_T(problem, u)
-    rho = config.rho
-    if rho is None:
-        rho = first_difference_rho(problem, u, gu, t)
-    return Stage(gu, t, project(problem.K, gu - rho * t), rho)
-
-
-def iterate_residual(problem, config, u, update, details, lyapunov=None):
+def iterate_residual(problem, config, u, update, details, lyapunov=None, learn=True):
     """Run :func:`iterate` on the projection residual.
 
     ``update(u, s, k) -> (u_next, info, t_next)`` takes step k from the
@@ -628,12 +618,14 @@ def iterate_residual(problem, config, u, update, details, lyapunov=None):
     when the step already evaluated it, else None.  The stage at each new
     iterate serves both the stop test and the next step.
 
-    Every stage has rho = ``config.rho`` when that is given; a solver
-    whose rho is fixed whatever the caller asks (the double-projection
-    pair) sets ``config.rho`` to it.  Otherwise the run starts at
-    rho_0 = rho_ref from :func:`start_stage`, and the stage at u_{k+1}
-    has the learned step of Malitsky and Mishchenko (Adaptive gradient
-    descent without descent, ICML 2020)
+    The start stage has rho = ``config.rho`` when that is given, else
+    rho_ref from :func:`first_difference_rho` (see :func:`projection_stage`).
+    Every stage keeps a given rho, and rho_ref when ``learn`` is False (gap
+    descent and the higher-order solver); a solver whose rho is fixed
+    whatever the caller asks (the double-projection pair) sets
+    ``config.rho`` to it.  Otherwise the stage at u_{k+1} has the learned
+    step of Malitsky and Mishchenko (Adaptive gradient descent without
+    descent, ICML 2020)
 
         rho_{k+1} = min(1.2 rho_k, 0.5 ||u_{k+1} - u_k|| / ||T(u_{k+1}) - T(u_k)||),
 
@@ -645,12 +637,12 @@ def iterate_residual(problem, config, u, update, details, lyapunov=None):
 
         max(1, rho_ref / rho_k) ||R(u, rho_k)|| >= ||R(u, rho_ref)||
 
-    certifies tol at rho_ref; with a given rho it is ||R(u, rho)||.  The
+    certifies tol at rho_ref; at a kept rho it is ||R(u, rho)||.  The
     report details gain ``rho``, the rho of the final stage, and
     ``rho_ref``.
     """
-    s = start_stage(problem, config, u)
-    rho_ref = s.rho
+    s = projection_stage(problem, u, config.rho)
+    rho_ref, learn = s.rho, learn and config.rho is None
 
     def bound(s):
         norm = s.norm()
@@ -661,7 +653,7 @@ def iterate_residual(problem, config, u, update, details, lyapunov=None):
         u_next, info, t_next = update(u, s, k)
         check_divergence(u_next)
         rho_next = s.rho
-        if config.rho is None:
+        if learn:
             if t_next is None:
                 t_next = effective_T(problem, u_next)
             rho_next = _RHO_GROWTH * s.rho

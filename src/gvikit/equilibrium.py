@@ -6,7 +6,8 @@ first-class capability: the caller supplies an oracle and the solvers
 drive it.  The linear/projection reduction ships as the only built-in.
 The oracle solvers take rho = 1 when config.rho is None; the
 higher-order solver takes rho_ref from one first difference at the start
-point and keeps it for the whole run.
+point, keeps it for the whole run and stops on ||R(u, rho)|| at the point
+it returns, as every solver that evaluates T does.
 Each higher-order two-step half-step is a projection step P_K[u - tau*rho*T(u)] at
 the tau that solves its p-th power subproblem; the implicit mode is a resolvent step.
 """
@@ -22,10 +23,10 @@ import numpy as np
 from .core import (
     check_divergence,
     effective_T,
-    first_difference_rho,
     g_value,
     inner_fixed_point,
     iterate,
+    iterate_residual,
     known_solution_lyapunov,
     prepare_solve,
     recover_iterate,
@@ -166,8 +167,12 @@ def solve_eq_predictor_corrector(problem, config=None, u0=None):
 
     Predictor: g(w) = oracle(u_n, g(u_n), beta); corrector:
     g(u+) = oracle(w, g(w), rho), recovered through the
-    anchor - g(anchor) + . device.  Stops when the g-image displacement
-    ||g(u+) - g(u_n)|| drops to tol; at least one step is always taken.
+    anchor - g(anchor) + . device.  Stops when the predictor displacement
+    ||g(u) - oracle(u, g(u), beta)|| at the point the run returns drops to
+    tol: for the linear bifunction and :func:`projection_aux_oracle` that
+    is ||R(u, beta)||, so the certificate holds at beta = beta_step.  Each
+    step predicts at u+ and carries that predictor into the next step, so
+    a run costs 2 oracle calls per step plus 1 at the start.
 
     Parameters
     ----------
@@ -185,17 +190,23 @@ def solve_eq_predictor_corrector(problem, config=None, u0=None):
     if not beta > 0:
         raise ValueError("beta_step must be positive for the predictor")
 
-    def step(u, k):
+    def predict(u):
         gu = g_value(problem, u)
-        gw = _checked_oracle_value(problem.K, problem.aux_oracle(u, gu, beta), "equilibrium")
+        return gu, _checked_oracle_value(problem.K, problem.aux_oracle(u, gu, beta), "equilibrium")
+
+    gu, gw = predict(u)
+
+    def step(u, k):
+        nonlocal gu, gw
         w = recover_iterate(problem, u, gw)
         g_next = _checked_oracle_value(problem.K, problem.aux_oracle(w, gw, rho), "equilibrium")
         u_next = recover_iterate(problem, w, g_next)
         check_divergence(u_next)
-        return u_next, vector_norm(g_next - gu), None
+        gu, gw = predict(u_next)
+        return u_next, vector_norm(gu - gw), None
 
     details = {"algorithm": "eq-predictor-corrector", "rho": rho, "beta_step": beta}
-    return iterate(u, np.inf, step, config, details)
+    return iterate(u, vector_norm(gu - gw), step, config, details)
 
 
 def solve_eq_inertial(problem, config=None, u0=None):
@@ -327,7 +338,9 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     mode="implicit" instead anchors the subproblem at u+ and centers it at u_n,
     where the penalty's gradient is 0: whatever p and nu are, u+ is the
     proximal-point resolvent (I + rho*T + N_K)^{-1}(u_n), the fixed point of
-    w -> P_K[u_n - rho*T(P_K w)].  Both modes stop on ||u+ - u_n|| <= tol.
+    w -> P_K[u_n - rho*T(P_K w)].  Both modes step inside
+    :func:`~gvikit.core.iterate_residual` at a kept rho, so they stop on
+    ||R(u, rho)|| <= tol at the point they return.
 
     Parameters
     ----------
@@ -354,31 +367,29 @@ def solve_higher_order(problem, config=None, u0=None, mode="two_step"):
     base = problem.base
     if base.g is not None:
         raise CapabilityError("the built-in subproblem solver needs g = identity")
-    config, rho, u = prepare_solve(base, config, u0)
-    last = None  # (x, T(x)) of the last evaluation; u_0 and each implicit fixed point come back
+    config, _, u = prepare_solve(base, config, u0)
 
-    def T_at(x):
-        nonlocal last
-        if last is None or not np.array_equal(last[0], x):
-            last = x, effective_T(base, x)
-        return last[1]
-
-    if rho is None:
-        rho = first_difference_rho(base, u, u, T_at(u))
-
-    def step(u, k):
-        # The resolvent map, composed with P_K (which keeps its fixed points) so T sees only K.
-        def resolvent_map(w):
-            return project(base.K, u - rho * T_at(project(base.K, w)))
-
+    def update(u, s, k):
         if mode == "two_step":
-            y = _half_step(problem, u, T_at(u), rho, config)
-            u_next = _half_step(problem, y, T_at(y), rho, config)
+            y = _half_step(problem, u, s.t, s.rho, config)
+            u_next, t_next = _half_step(problem, y, effective_T(base, y), s.rho, config), None
         else:
-            u_next, _ = inner_fixed_point(resolvent_map, u.copy(), config, "higher-order implicit step", k)
-        check_divergence(u_next)
-        step_sq = vector_norm(u_next - u) ** 2
-        return u_next, np.sqrt(step_sq), {"step_sq": step_sq}
+            last = None  # (P_K w, T(P_K w)) of the last trial
 
-    details = {"algorithm": "higher-order", "mode": mode, "rho": rho, "p": problem.p, "nu": problem.nu}
-    return iterate(u, np.inf, step, config, details, lyapunov=known_solution_lyapunov(base))
+            # The resolvent map, composed with P_K (which keeps its fixed points) so T sees only K.
+            def resolvent_map(w):
+                nonlocal last
+                x = project(base.K, w)
+                last = x, effective_T(base, x)
+                return project(base.K, u - s.rho * last[1])
+
+            # The stage's projection gives the first inner value: at w = u the
+            # resolvent map projects u - rho*T(u), exactly so for u in K.
+            u_next, _ = inner_fixed_point(resolvent_map, u, config, "higher-order implicit step", k, w_next=s.p)
+            # A trial can land on the fixed point itself; then T there is already known.
+            t_next = last[1] if last is not None and np.array_equal(last[0], u_next) else None
+        step = u_next - u
+        return u_next, {"step_sq": float(step @ step)}, t_next
+
+    details = {"algorithm": "higher-order", "mode": mode, "p": problem.p, "nu": problem.nu}
+    return iterate_residual(base, config, u, update, details, lyapunov=known_solution_lyapunov(base), learn=False)

@@ -128,7 +128,8 @@ def test_gap_descent_stalls_when_decrease_constant_exceeds_curvature(example4_10
 def test_gap_descent_trace_strictly_decreasing(example3_10):
     report = solve_gap_descent(example3_10, SolveConfig(rho=0.2, alpha=0.3))
     assert report.converged
-    gaps = [rec.info["gap"] for rec in report.trace if rec.info]
+    start = gap_N(example3_10, np.zeros(example3_10.dim), 0.2).value
+    gaps = [start] + [rec.info["gap"] for rec in report.trace[1:]]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 

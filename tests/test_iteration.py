@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import box_projection_residual
 
-import gvikit.auxiliary
+import gvikit.core
 import gvikit.equilibrium
 import gvikit.sets
 import gvikit.wiener_hopf
@@ -200,7 +200,7 @@ def test_example3_higher_order_implicit_operator_evaluations():
     report = solve_higher_order(HigherOrderProblem(base=problem, p=3.0, mu=0.5), SolveConfig(rho=0.1),
                                 mode="implicit")
     assert report.converged
-    assert (report.iterations, calls[0]) == (89, 380)
+    assert (report.iterations, calls[0]) == (89, 381)
     assert np.max(np.abs(report.solution - base.known_solution)) <= 1e-6
 
 
@@ -221,14 +221,16 @@ def test_example4_higher_order_implicit_evaluates_T_once_per_point():
     assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
 
 
-@pytest.mark.parametrize("pid, mode, counts", [("example3", "two_step", (40, 80, 319)),
-                                               ("example3", "implicit", (89, 380, 760)),
-                                               ("example4", "two_step", (72, 144, 624)),
-                                               ("example4", "implicit", (145, 401, 942))])
+@pytest.mark.parametrize("pid, mode, counts", [("example3", "two_step", (38, 77, 351)),
+                                               ("example3", "implicit", (89, 381, 673)),
+                                               ("example4", "two_step", (68, 137, 669)),
+                                               ("example4", "implicit", (145, 401, 799))])
 def test_higher_order_p3_iterations_operator_evaluations_and_projections(pid, mode, counts, monkeypatch):
     # The small-mix runs at p = 3: (iterations, T calls, projections).  Each
     # two_step half-step is one bracketed scalar search, a projection per
-    # trial; each implicit inner evaluation is two projections.
+    # trial; each implicit inner evaluation is two projections, except the
+    # first, which is the stage's.  The start point and the stage at every
+    # point add one each.
     projections = [0]
     project = gvikit.equilibrium.project
 
@@ -237,6 +239,7 @@ def test_higher_order_p3_iterations_operator_evaluations_and_projections(pid, mo
         return project(K, x)
 
     monkeypatch.setattr(gvikit.equilibrium, "project", counted_project)
+    monkeypatch.setattr(gvikit.core, "project", counted_project)
     problem, calls = _counted(build_problem(ProblemSpec(pid, n=100)))
     report = solve_higher_order(HigherOrderProblem(base=problem, p=3.0, mu=0.5), SolveConfig(rho=0.1), mode=mode)
     assert report.converged
@@ -322,23 +325,26 @@ def _fixed_rho_run(case, problem, config):
 @pytest.mark.parametrize("case", FIXED_RHO)
 def test_fixed_rho_solvers_take_rho_ref_from_two_T_evaluations(case, spec, monkeypatch):
     # T(u_0) and T at the first difference's point, then the loop, whose first
-    # step reuses T(u_0): the default run costs one T more than a run at rho_ref.
+    # step reuses T(u_0): the default run costs one T more than a run at rho_ref,
+    # and its stop certifies tol at that rho.
     base = build_problem(ProblemSpec(*spec))
     problem, calls = _counted(base)
-    module = gvikit.auxiliary if case == "gap-descent" else gvikit.equilibrium
     before_loop = []
-    loop = module.iterate
+    loop = gvikit.core.iterate
 
     def counted_loop(*args, **kwargs):
         before_loop.append(calls[0])
         return loop(*args, **kwargs)
 
-    monkeypatch.setattr(module, "iterate", counted_loop)
-    report = _fixed_rho_run(case, problem, SolveConfig())
+    monkeypatch.setattr(gvikit.core, "iterate", counted_loop)
+    config = SolveConfig()
+    report = _fixed_rho_run(case, problem, config)
     assert report.converged
     assert before_loop == [2]
     u0 = np.zeros(base.dim)
     assert report.details["rho"] == first_difference_rho(base, u0, u0, base.T(u0))
+    assert box_projection_residual(base.T, base.K.lo, base.K.hi, report.solution,
+                                   report.details["rho"]) <= config.tol
 
     fixed, fixed_calls = _counted(base)
     at_rho = _fixed_rho_run(case, fixed, SolveConfig(rho=report.details["rho"]))
