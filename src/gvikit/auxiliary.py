@@ -166,7 +166,7 @@ def solve_gap_descent(problem, config=None, u0=None):
             s_trial = projection_stage(problem, trial, s.rho)
             gap_trial = _gap_value(s_trial.gu, s_trial.t, s_trial.p, s.rho)
             if gap_trial <= gap - config.alpha * t * dnorm_sq:
-                return trial, {"gap": gap_trial, "t": t}, s_trial.t
+                return trial, {"gap": gap_trial, "t": t}, s_trial
             t *= config.gamma
         raise StallError("gap descent found no decreasing step within 64 backtracks")
 

@@ -303,13 +303,32 @@ def projection_stage(problem, u, rho, t=None):
     ``t``, when given, is T(u) already known to the caller.  rho None
     takes rho_ref from :func:`first_difference_rho` at u, which reuses
     T(u) and so costs one T evaluation.
+
+    g(u) - rho*T(u) is formed in one new array: (-rho)*T(u) is written
+    into it and g(u) added in place.  (-rho)*t is exactly -(rho*t), so the
+    point is bit for bit ``gu - rho * t``, signed zeros included.
     """
     gu = g_value(problem, u)
     if t is None:
         t = effective_T(problem, u)
     if rho is None:
         rho = first_difference_rho(problem, u, gu, t)
-    return Stage(gu, t, project(problem.K, gu - rho * t), rho)
+    point = t * -rho
+    if point.shape == gu.shape:
+        point += gu
+    else:  # a T(u) that broadcasts against g(u)
+        point = gu + point
+    return Stage(gu, t, project(problem.K, point), rho)
+
+
+def device_iterate(problem, u, gu, w):
+    """The iterate u - g(u) + w of the fixed-point device, whose g-value is w.
+
+    For the identity g that is w itself, returned as is.  Any other g
+    takes the device, whether or not g_inverse is supplied (compare
+    :func:`recover_iterate`).
+    """
+    return w if problem.g is None else u - gu + w
 
 
 def residual(problem, u, rho):
@@ -464,11 +483,18 @@ def vector_norm(x):
 
 
 def check_divergence(u):
-    """Raise when an iterate leaves the trust region of the solvers."""
+    """Raise when an iterate leaves the trust region of the solvers.
+
+    A non-finite entry raises NumericDomainError, and a finite iterate of
+    norm above 1e12 (its norm may overflow to inf) DivergenceError.  The
+    decision takes one norm: the entries are scanned only when that norm
+    is not at most 1e12, which a NaN or inf entry makes it.
+    """
+    if vector_norm(u) <= _DIVERGENCE_LIMIT:
+        return
     if not np.isfinite(u).all():
         raise NumericDomainError("iterate")
-    if vector_norm(u) > _DIVERGENCE_LIMIT:
-        raise DivergenceError(u)
+    raise DivergenceError(u)
 
 
 def inner_fixed_point(fn, w, config, tag, k, w_next=None):
@@ -612,11 +638,13 @@ def first_difference_rho(problem, u, gu, t):
 def iterate_residual(problem, config, u, update, details, lyapunov=None, learn=True):
     """Run :func:`iterate` on the projection residual.
 
-    ``update(u, s, k) -> (u_next, info, t_next)`` takes step k from the
+    ``update(u, s, k) -> (u_next, info, ahead)`` takes step k from the
     stage s at u, with the stage's step scalar ``s.rho``; info may instead
-    be a callable of the stages at u and u_next, and t_next is T(u_next)
-    when the step already evaluated it, else None.  The stage at each new
-    iterate serves both the stop test and the next step.
+    be a callable of the stages at u and u_next.  ahead is what the step
+    already knows at u_next: the stage there (gap descent's accepted
+    trial), which is taken as is when its rho is the next stage's rho,
+    else T(u_next), else None.  The stage at each new iterate serves both
+    the stop test and the next step.
 
     The start stage has rho = ``config.rho`` when that is given, else
     rho_ref from :func:`first_difference_rho` (see :func:`projection_stage`).
@@ -650,8 +678,9 @@ def iterate_residual(problem, config, u, update, details, lyapunov=None, learn=T
 
     def step(u, k):
         nonlocal s
-        u_next, info, t_next = update(u, s, k)
+        u_next, info, ahead = update(u, s, k)
         check_divergence(u_next)
+        t_next = ahead.t if isinstance(ahead, Stage) else ahead
         rho_next = s.rho
         if learn:
             if t_next is None:
@@ -660,7 +689,9 @@ def iterate_residual(problem, config, u, update, details, lyapunov=None, learn=T
             t_change = vector_norm(t_next - s.t)
             if t_change > 0.0:
                 rho_next = min(rho_next, _RHO_LOCAL * vector_norm(u_next - u) / t_change)
-        prev, s = s, projection_stage(problem, u_next, rho_next, t_next)
+        if not (isinstance(ahead, Stage) and ahead.rho == rho_next):
+            ahead = projection_stage(problem, u_next, rho_next, t_next)
+        prev, s = s, ahead
         return u_next, bound(s), info(prev, s) if callable(info) else info
 
     report = iterate(u, bound(s), step, config, details, lyapunov=lyapunov)

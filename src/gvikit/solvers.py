@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    device_iterate,
     effective_T,
     eval_operator,
     g_value,
@@ -31,8 +32,9 @@ _VARIANTS = (FORWARD_T, FULL_IMPLICIT, EXPLICIT_T)
 def solve_projection(problem, config=None, u0=None):
     """Fixed-point projection iteration.
 
-    Updates u <- u - g(u) + P_K[g(u) - rho*T(u)] until the residual norm
-    drops below tol or the iteration cap is reached.
+    Updates u <- u - g(u) + P_K[g(u) - rho*T(u)] (the projected point
+    itself for the identity g; see :func:`~gvikit.core.device_iterate`)
+    until the residual norm drops below tol or the iteration cap is reached.
 
     Parameters
     ----------
@@ -48,7 +50,7 @@ def solve_projection(problem, config=None, u0=None):
     config, _, u = prepare_solve(problem, config, u0)
 
     def update(u, s, k):
-        return u - s.gu + s.p, None, None
+        return device_iterate(problem, u, s.gu, s.p), None, None
 
     return iterate_residual(problem, config, u, update, {"algorithm": "projection"})
 
@@ -75,7 +77,8 @@ def solve_extragradient(problem, config=None, u0=None):
 
     def update(u, s, k):
         y = eval_operator(problem, "g_inverse", s.p)
-        return u - s.gu + project(problem.K, s.gu - s.rho * effective_T(problem, y)), None, None
+        w = project(problem.K, s.gu - s.rho * effective_T(problem, y))
+        return device_iterate(problem, u, s.gu, w), None, None
 
     return iterate_residual(problem, config, u, update, {"algorithm": "extragradient"})
 
@@ -110,7 +113,7 @@ def solve_two_step(problem, config=None, u0=None):
         gy = g_value(problem, y)
         mid = (1.0 - xi) * u + xi * y
         w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - s.rho * effective_T(problem, mid))
-        return u - s.gu + w, None, None
+        return device_iterate(problem, u, s.gu, w), None, None
 
     details = {"algorithm": "two-step", "lam": lam, "xi": xi}
     return iterate_residual(problem, config, u, update, details)

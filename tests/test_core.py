@@ -1,7 +1,11 @@
 """Problem types, residual maps, and shared configuration plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import box_lipschitz_sample, fd_gradient
 
@@ -19,7 +23,7 @@ from gvikit import (
     wiener_hopf_residual,
 )
 import gvikit.core
-from gvikit.core import check_divergence, g_value, inner_fixed_point, recover_iterate
+from gvikit.core import check_divergence, g_value, inner_fixed_point, projection_stage, recover_iterate
 from gvikit.errors import (
     CapabilityError,
     DivergenceError,
@@ -27,7 +31,7 @@ from gvikit.errors import (
     NumericDomainError,
     UnsupportedSetError,
 )
-from gvikit.sets import Box, NonnegOrthant, WholeSpace, project
+from gvikit.sets import Box, NonnegOrthant, Simplex, WholeSpace, project
 
 
 def test_residual_vanishes_at_known_solution(example4_10):
@@ -408,6 +412,66 @@ def test_divergence_detector():
     with pytest.raises(DivergenceError):
         check_divergence(np.array([1e13]))
     check_divergence(np.array([1e11]))
+    for bad in (np.array([1.0, np.nan]), np.array([np.inf, 1.0]), np.array([-np.inf, np.nan])):
+        with pytest.raises(NumericDomainError):
+            check_divergence(bad)
+    # Finite entries whose norm overflows to inf are a divergence, not a
+    # domain error (the squares overflow, which numpy warns of).
+    with pytest.raises(DivergenceError), np.errstate(over="ignore"):
+        check_divergence(np.array([1e200, 1e200]))
+    check_divergence(np.array([0.6e12, 0.8e12]))  # norm exactly 1e12
+    check_divergence(np.array([1e12]))
+
+
+_STAGE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-1e3, 1e3),
+    st.builds(lambda m, sign: sign * m, st.floats(1e149, 1e151), st.sampled_from([1.0, -1.0])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.integers(1, 6).flatmap(
+        lambda n: st.tuples(st.lists(_STAGE_ENTRIES, min_size=n, max_size=n),
+                            st.lists(_STAGE_ENTRIES, min_size=n, max_size=n))
+    ),
+    rho=st.one_of(st.sampled_from([0.1, 0.5, 1.0]), st.floats(1e-3, 1e3)),
+    kind=st.sampled_from(["box", "simplex", "whole"]),
+)
+def test_projection_stage_point_is_bit_for_bit_the_plain_expression(data, rho, kind):
+    gu, t = (np.array(x) for x in data)
+    n = gu.size
+    K = {"box": Box(-np.ones(n), np.ones(n)), "simplex": Simplex(2.0), "whole": WholeSpace()}[kind]
+    problem = GviProblem(dim=n, T=lambda u: t, K=K)
+    stage = projection_stage(problem, gu, rho)
+    assert stage.p.tobytes() == project(K, gu - rho * t).tobytes()
+
+
+@pytest.mark.parametrize("alg", ["projection", "extragradient", "two-step"])
+@pytest.mark.parametrize("spec", [("example2", None), ("example3", 100), ("example4", 1000)])
+@pytest.mark.parametrize("rho", [None, 0.1])
+def test_identity_g_steps_to_the_point_the_device_gives(alg, spec, rho):
+    # g = None returns the projected point itself; an explicit identity g
+    # takes the u - g(u) + w device, which gives the same point.
+    problem = build_problem(ProblemSpec(*spec))
+    explicit = dataclasses.replace(problem, g=lambda u: u, g_inverse=lambda u: u)
+    plain = ALGORITHMS[alg](problem, SolveConfig(rho=rho, max_iters=300))
+    device = ALGORITHMS[alg](explicit, SolveConfig(rho=rho, max_iters=300))
+    assert plain.iterations == device.iterations
+    assert np.array_equal(plain.solution, device.solution)
+
+
+def test_operator_output_that_broadcasts_against_g_still_solves():
+    # T returns shape (1,) at n = 3; the stage broadcasts it against g(u),
+    # and the run is bit for bit the run with T broadcast by hand.
+    short = GviProblem(dim=3, T=lambda u: np.array([u.sum() - 1.0]), K=Box(0, 1))
+    full = GviProblem(dim=3, T=lambda u: np.full(3, u.sum() - 1.0), K=Box(0, 1))
+    report = solve_projection(short, SolveConfig(rho=0.5))
+    assert report.converged and report.iterations == 24
+    reference = solve_projection(full, SolveConfig(rho=0.5))
+    assert report.iterations == reference.iterations
+    assert report.solution.tobytes() == reference.solution.tobytes()
 
 
 def test_fd_gradient_oracle_self_check():

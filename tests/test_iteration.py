@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import box_projection_residual
 
+import gvikit.auxiliary
 import gvikit.core
 import gvikit.equilibrium
 import gvikit.sets
@@ -244,6 +245,26 @@ def test_higher_order_p3_iterations_operator_evaluations_and_projections(pid, mo
     report = solve_higher_order(HigherOrderProblem(base=problem, p=3.0, mu=0.5), SolveConfig(rho=0.1), mode=mode)
     assert report.converged
     assert (report.iterations, calls[0], projections[0]) == counts
+
+
+def test_gap_descent_projects_each_accepted_point_once(monkeypatch):
+    # The small-mix run: (iterations, T calls, projections).  The start
+    # point, the first difference and the start stage make one projection
+    # each, and every Armijo trial one, the accepted trial's stage serving
+    # as the next stage; this run accepts its first trial at every step.
+    projections = [0]
+    project = gvikit.core.project
+
+    def counted_project(K, x):
+        projections[0] += 1
+        return project(K, x)
+
+    monkeypatch.setattr(gvikit.core, "project", counted_project)
+    monkeypatch.setattr(gvikit.auxiliary, "project", counted_project)
+    problem, calls = _counted(build_problem(ProblemSpec("example4", n=100)))
+    report = solve_gap_descent(problem, SolveConfig())
+    assert report.converged
+    assert (report.iterations, calls[0], projections[0]) == (9, 11, 12)
 
 
 # The residual solvers that learn rho when config.rho is None.
