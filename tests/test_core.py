@@ -419,8 +419,9 @@ def test_divergence_detector():
     # domain error (the squares overflow, which numpy warns of).
     with pytest.raises(DivergenceError), np.errstate(over="ignore"):
         check_divergence(np.array([1e200, 1e200]))
-    check_divergence(np.array([0.6e12, 0.8e12]))  # norm exactly 1e12
-    check_divergence(np.array([1e12]))
+    for edge in (np.array([1e12]), np.array([0.6e12, 0.8e12])):
+        assert np.linalg.norm(edge) == 1e12
+        check_divergence(edge)
 
 
 _STAGE_ENTRIES = st.one_of(
