@@ -5,6 +5,12 @@ variants below.  All projections are exact, never iterative QP solves:
 closed forms for the plain sets, and for a base cut by a hyperplane one
 safeguarded Newton search on the single dual multiplier, after a
 closed-form feasibility test.
+
+The part of a cut that depends on the set alone is built once, when
+``IntersectionWithHyperplane`` is made, and each ``project`` computes
+only what depends on z; ``project_intersection`` builds both parts on
+every call, as the anchored ``dp-optimal`` corrector, whose cut changes
+at every step, needs.  The sets keep read-only copies of their normals.
 """
 
 from __future__ import annotations
@@ -33,7 +39,11 @@ class NonnegOrthant(ConvexSet):
 
 @dataclass(frozen=True)
 class Box(ConvexSet):
-    """{x : lo <= x <= hi} componentwise; bounds may be infinite."""
+    """{x : lo <= x <= hi} componentwise; bounds may be infinite.
+
+    A cut of this box reads the bounds when it is built, so write into
+    them only before building an ``IntersectionWithHyperplane`` on it.
+    """
 
     lo: np.ndarray
     hi: np.ndarray
@@ -61,7 +71,10 @@ class Simplex(ConvexSet):
 
 
 def _set_normal(cset, kind):
-    a = np.atleast_1d(np.asarray(cset.a, dtype=float))
+    # A private read-only copy: a later write into the caller's array cannot
+    # move ``cset.a`` away from what was built from it.
+    a = np.array(cset.a, dtype=float, ndmin=1)
+    a.flags.writeable = False
     if not np.any(a != 0):
         raise ValueError(f"{kind} normal must be nonzero")
     object.__setattr__(cset, "a", a)
@@ -70,7 +83,7 @@ def _set_normal(cset, kind):
 
 @dataclass(frozen=True)
 class Halfspace(ConvexSet):
-    """{x : a.x <= b}."""
+    """{x : a.x <= b}; ``a`` is kept as a read-only copy."""
 
     a: np.ndarray
     b: float
@@ -81,7 +94,7 @@ class Halfspace(ConvexSet):
 
 @dataclass(frozen=True)
 class Hyperplane(ConvexSet):
-    """{x : a.x = b}."""
+    """{x : a.x = b}; ``a`` is kept as a read-only copy."""
 
     a: np.ndarray
     b: float
@@ -92,7 +105,18 @@ class Hyperplane(ConvexSet):
 
 @dataclass(frozen=True)
 class IntersectionWithHyperplane(ConvexSet):
-    """base set intersected with {x : a.x = b}; base must be Box, NonnegOrthant, or Simplex."""
+    """base set intersected with {x : a.x = b}; base must be Box, NonnegOrthant, or Simplex.
+
+    The parts of the projection that depend on the set alone are built
+    here, once: the range of a.x over the base (a hyperplane that misses
+    the base still builds; each ``project`` onto it raises
+    ``InfeasibleSetError``), and for a Box or NonnegOrthant the kept
+    coordinates, their bounds and a_i^2, for a Simplex the extremes of a
+    and the centred normal.  ``project`` computes the kinks for its z and
+    runs the Newton trials; it returns the bytes ``project_intersection``
+    returns.  ``a`` is kept as a read-only copy, and a Box base's bounds
+    are read here, so write into them only before building the set.
+    """
 
     base: ConvexSet
     a: np.ndarray
@@ -102,6 +126,7 @@ class IntersectionWithHyperplane(ConvexSet):
         if not isinstance(self.base, INTERSECTION_BASES):
             raise ValueError("intersection base must be Box, NonnegOrthant, or Simplex")
         _set_normal(self, "hyperplane")
+        object.__setattr__(self, "_cut", _build_cut(self.base, self.a, self.b, None))
 
 
 # The base sets project_intersection supports.
@@ -166,7 +191,7 @@ def project(cset, z):
         excess = float(cset.a @ z) - cset.b
         return z - (excess / float(cset.a @ cset.a)) * cset.a
     if isinstance(cset, IntersectionWithHyperplane):
-        return project_intersection(cset.base, cset.a, cset.b, z)
+        return cset._cut(z)
     raise UnsupportedSetError(f"unknown set variant {type(cset).__name__}")
 
 
@@ -208,6 +233,13 @@ def project_intersection(base, a, b, z, anchor=None):
     is evaluated in that form, so a small offset b is not rounded away
     against a large a.anchor.
 
+    What depends on (base, a, b, anchor) alone (the range of a.(x -
+    anchor), and the kept coordinates a_i != 0 with their bounds and a_i^2,
+    or a Simplex's extremes of a and centred normal) is built on every
+    call here, as the anchored ``dp-optimal`` corrector, whose a, b and
+    anchor change at every step, needs; ``IntersectionWithHyperplane``
+    builds it once per set.  Per z come the kinks and the Newton trials.
+
     Parameters
     ----------
     base : ConvexSet
@@ -241,18 +273,25 @@ def project_intersection(base, a, b, z, anchor=None):
     """
     check_intersection_base(base)
     a = np.atleast_1d(np.asarray(a, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     if not np.any(a != 0):
         raise InfeasibleSetError("hyperplane normal is zero")
-    ref = np.zeros_like(z) if anchor is None else np.asarray(anchor, dtype=float)
-    b = float(b)
+    return _build_cut(base, a, float(b), anchor)(np.atleast_1d(np.asarray(z, dtype=float)))
+
+
+def _build_cut(base, a, b, anchor):
+    # The projection onto the base cut by {x : a.(x - anchor) = b}, as a
+    # callable of z alone.  Without an anchor no anchor arithmetic is made:
+    # x - 0 is x, bit for bit.  A b outside the range is kept, not raised
+    # here, so that a set whose hyperplane misses its base still builds and
+    # each projection onto it raises.
+    ref = None if anchor is None else np.asarray(anchor, dtype=float)
     if isinstance(base, Simplex):
-        return _cut_simplex(base, a, b, z, ref)
-    if isinstance(base, Box):
-        lo, hi = base.lo, base.hi
-    else:
-        lo, hi = np.zeros_like(z), np.full_like(z, np.inf)
-    return _cut_box(lo, hi, a, b, z, ref)
+        return _SimplexCut(base, a, b, ref)
+    lo, hi = (base.lo, base.hi) if isinstance(base, Box) else (0.0, np.inf)
+    if np.shape(lo) != a.shape:
+        # Bounds of size 1 stand for every coordinate, and the kept ones are gathered.
+        lo, hi = np.broadcast_to(lo, a.shape), np.broadcast_to(hi, a.shape)
+    return _BoxCut(lo, hi, a, b, ref)
 
 
 def _on_face(x, b, end, size):
@@ -265,106 +304,130 @@ def _on_face(x, b, end, size):
     raise InfeasibleSetError("hyperplane does not meet the base set")
 
 
-def _cut_box(lo, hi, a, b, z, ref):
-    # Coordinate i with a_i != 0 is free, x_i = z_i - theta*a_i, between its
-    # kinks (z_i - hi_i)/a_i and (z_i - lo_i)/a_i, and at a bound outside.
-    # Only those coordinates enter the range, so no 0*inf arises.
-    nz = a != 0
-    an = a[nz]
-    to_lo, to_hi = an * (lo - ref)[nz], an * (hi - ref)[nz]
-    low_terms, high_terms = np.minimum(to_lo, to_hi), np.maximum(to_lo, to_hi)
-    low, high = float(np.sum(low_terms)), float(np.sum(high_terms))
-    if not low < b < high:
-        up, terms = (a, high_terms) if b >= high else (-a, low_terms)
-        face = np.where(up > 0, hi, np.where(up < 0, lo, np.clip(z, lo, hi)))
-        return _on_face(face, b, float(np.sum(terms)), float(np.sum(np.abs(terms))))
+class _BoxCut:
+    # Coordinate i with a_i != 0 is kept: it is free, x_i = z_i - theta*a_i,
+    # between its kinks (z_i - hi_i)/a_i and (z_i - lo_i)/a_i, and at a bound
+    # outside.  Only kept coordinates enter the range, so no 0*inf arises.
 
-    at_hi, at_lo = (z - hi)[nz] / an, (z - lo)[nz] / an
-    first, last = np.minimum(at_hi, at_lo), np.maximum(at_hi, at_lo)
-    squares = an * an
+    def __init__(self, lo, hi, a, b, ref):
+        nz = a != 0
+        keep = slice(None) if nz.all() else nz
+        an = a[keep]
+        to_lo = an * (lo if ref is None else lo - ref)[keep]
+        to_hi = an * (hi if ref is None else hi - ref)[keep]
+        low_terms, high_terms = np.minimum(to_lo, to_hi), np.maximum(to_lo, to_hi)
+        low, high = float(np.sum(low_terms)), float(np.sum(high_terms))
+        self.face = None  # (sign of the face's direction, its end of the range, the end's size)
+        if not low < b < high:
+            up, terms = (a, high_terms) if b >= high else (-a, low_terms)
+            self.face = (up, float(np.sum(terms)), float(np.sum(np.abs(terms))))
+        self.lo, self.hi, self.a, self.b, self.ref = lo, hi, a, b, ref
+        self.keep, self.an, self.lo_kept, self.hi_kept, self.squares = keep, an, lo[keep], hi[keep], an * an
 
-    def phi(theta):
-        # np.minimum(np.maximum(.)) is np.clip for lo <= hi, without its wrapper.
-        x = np.minimum(np.maximum(z - theta * a, lo), hi)
-        return float(a @ (x - ref)) - b, x
+    def __call__(self, z):
+        lo, hi, a, b, ref, squares = self.lo, self.hi, self.a, self.b, self.ref, self.squares
+        if self.face is not None:
+            up, end, size = self.face
+            face = np.where(up > 0, hi, np.where(up < 0, lo, np.clip(z, lo, hi)))
+            return _on_face(face, b, end, size)
 
-    # The pattern is how many of its two kinks lie behind theta on the given
-    # side; a coordinate is free there if it has passed exactly one.
-    def pattern(theta, x, right):
-        past = (first <= theta, last <= theta) if right else (first < theta, last < theta)
-        return np.add(*past, dtype=np.int8)
+        zk = z[self.keep]
+        at_hi, at_lo = (zk - self.hi_kept) / self.an, (zk - self.lo_kept) / self.an
+        first, last = np.minimum(at_hi, at_lo), np.maximum(at_hi, at_lo)
 
-    def slope(behind):
-        return float(squares @ (behind == 1))
+        def phi(theta):
+            # np.minimum(np.maximum(.)) is np.clip for lo <= hi, without its wrapper.
+            x = np.minimum(np.maximum(z - theta * a, lo), hi)
+            return float(a @ (x if ref is None else x - ref)) - b, x
 
-    def far(right):
-        kinks = np.concatenate((first, last))
-        finite = kinks[np.isfinite(kinks)]
-        return float(finite.max(initial=0.0) if right else finite.min(initial=0.0))
+        # The pattern is how many of its two kinks lie behind theta on the given
+        # side; a coordinate is free there if it has passed exactly one.
+        def pattern(theta, x, right):
+            past = (first <= theta, last <= theta) if right else (first < theta, last < theta)
+            return np.add(*past, dtype=np.int8)
 
-    return _newton_cut(phi, pattern, slope, far)
+        def slope(behind):
+            return float(squares @ (behind == 1))
+
+        def far(right):
+            kinks = np.concatenate((first, last))
+            finite = kinks[np.isfinite(kinks)]
+            return float(finite.max(initial=0.0) if right else finite.min(initial=0.0))
+
+        return _newton_cut(phi, pattern, slope, far)
 
 
-def _cut_simplex(base, a, b, z, ref):
-    total, shift = base.total, float(a @ ref)
-    a_max, a_min = float(a.max()), float(a.min())
-    top, bottom = total * a_max - shift, total * a_min - shift
-    if not bottom < b < top:
-        extreme = a_max if b >= top else a_min
-        x = np.zeros_like(z)
-        x[a == extreme] = project(base, z[a == extreme])
-        size = total * abs(extreme) + float(np.abs(a) @ np.abs(ref))
-        return _on_face(x, b, total * extreme - shift, size)
-
+class _SimplexCut:
     # On the simplex a.x = (a - c).x + c*total, and shifting a by a multiple
     # of the ones vector leaves x(theta) unchanged; the search runs on the
     # centred normal so that a normal nearly parallel to ones keeps its digits.
-    c = 0.5 * (a_max + a_min)
-    w = a - c
-    offset = b - c * (total - float(np.sum(ref)))
-    known = None  # (support S, |S|, sum_S z, sum_S w, slope on S) of the last sort
-    latest = None  # the point of the last trial, which lies on the known support
 
-    # On a support S, x_i = z_i - theta*w_i - tau(theta) with the shift tau
-    # = (sum_S z - theta*sum_S w - total)/|S| keeping the total, so x_i moves
-    # at mean_S(w) - w_i.  A trial first tries the last support: x is the
-    # projection exactly when its positive coordinates are S (the KKT
-    # conditions).  Otherwise the sort-based projection finds the support.
-    def phi(theta):
-        nonlocal known, latest
-        v = z - theta * w
-        if known is not None:
-            support, size, z_sum, w_sum, _ = known
-            x = np.maximum(v - (z_sum - theta * w_sum - total) / size, 0.0)
-        if known is None or not np.array_equal(x > 0, support):
-            x = project(base, v)
-            support = x > 0
-            ws = w[support]
-            d = ws - np.mean(ws)
-            known = (support, ws.size, float(np.sum(z[support])), float(np.sum(ws)), float(d @ d))
-        latest = x
-        return float(w @ (x - ref)) - offset, x
+    def __init__(self, base, a, b, ref):
+        total, shift = base.total, 0.0 if ref is None else float(a @ ref)
+        a_max, a_min = float(a.max()), float(a.min())
+        top, bottom = total * a_max - shift, total * a_min - shift
+        self.face = None  # (the coordinates where a is extreme, that end of the range, the end's size)
+        if not bottom < b < top:
+            extreme = a_max if b >= top else a_min
+            size = total * abs(extreme) + (0.0 if ref is None else float(np.abs(a) @ np.abs(ref)))
+            self.face = (a == extreme, total * extreme - shift, size)
+        c = 0.5 * (a_max + a_min)
+        self.w = a - c
+        self.offset = b - c * (total - (0.0 if ref is None else float(np.sum(ref))))
+        self.base, self.a, self.a_max, self.a_min, self.b, self.ref = base, a, a_max, a_min, b, ref
 
-    # _newton_cut asks for the pattern only of the x that phi returned last,
-    # whose support and slope are the known ones.
-    def pattern(theta, x, right):
-        assert x is latest, "pattern is asked about a point other than the last trial"
-        return known[0]
+    def __call__(self, z):
+        base, a, w, ref, offset = self.base, self.a, self.w, self.ref, self.offset
+        total = base.total
+        if self.face is not None:
+            on, end, size = self.face
+            x = np.zeros_like(z)
+            x[on] = project(base, z[on])
+            return _on_face(x, self.b, end, size)
 
-    def slope(support):
-        assert support is known[0], "slope is asked about a support other than the last one"
-        return known[4]
+        known = None  # (support S, |S|, sum_S z, sum_S w, slope on S) of the last sort
+        latest = None  # the point of the last trial, which lies on the known support
 
-    # Once theta * (a_max - a_i) exceeds the gap z_max - z_i by the total,
-    # coordinate i drops out of the support: beyond these ends x(theta)
-    # lies on the face where a.x is largest (low theta) or smallest.
-    def far(right):
-        extreme = a_min if right else a_max
-        on = a == extreme
-        ends = (np.max(z[on]) - z[~on] - total) / (extreme - a[~on])
-        return float(np.max(ends) if right else np.min(ends))
+        # On a support S, x_i = z_i - theta*w_i - tau(theta) with the shift tau
+        # = (sum_S z - theta*sum_S w - total)/|S| keeping the total, so x_i moves
+        # at mean_S(w) - w_i.  A trial first tries the last support: x is the
+        # projection exactly when its positive coordinates are S (the KKT
+        # conditions).  Otherwise the sort-based projection finds the support.
+        def phi(theta):
+            nonlocal known, latest
+            v = z - theta * w
+            if known is not None:
+                support, size, z_sum, w_sum, _ = known
+                x = np.maximum(v - (z_sum - theta * w_sum - total) / size, 0.0)
+            if known is None or not np.array_equal(x > 0, support):
+                x = project(base, v)
+                support = x > 0
+                ws = w[support]
+                d = ws - np.mean(ws)
+                known = (support, ws.size, float(np.sum(z[support])), float(np.sum(ws)), float(d @ d))
+            latest = x
+            return float(w @ (x if ref is None else x - ref)) - offset, x
 
-    return _newton_cut(phi, pattern, slope, far)
+        # _newton_cut asks for the pattern only of the x that phi returned last,
+        # whose support and slope are the known ones.
+        def pattern(theta, x, right):
+            assert x is latest, "pattern is asked about a point other than the last trial"
+            return known[0]
+
+        def slope(support):
+            assert support is known[0], "slope is asked about a support other than the last one"
+            return known[4]
+
+        # Once theta * (a_max - a_i) exceeds the gap z_max - z_i by the total,
+        # coordinate i drops out of the support: beyond these ends x(theta)
+        # lies on the face where a.x is largest (low theta) or smallest.
+        def far(right):
+            extreme = self.a_min if right else self.a_max
+            on = a == extreme
+            ends = (np.max(z[on]) - z[~on] - total) / (extreme - a[~on])
+            return float(np.max(ends) if right else np.min(ends))
+
+        return _newton_cut(phi, pattern, slope, far)
 
 
 def _newton_cut(phi, pattern, slope, far):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gvikit.sets
 from gvikit.errors import InfeasibleSetError
-from gvikit.sets import Box, NonnegOrthant, Simplex, project_intersection
+from gvikit.sets import Box, IntersectionWithHyperplane, NonnegOrthant, Simplex, project, project_intersection
 from oracles import kkt_cut_bruteforce, kkt_cut_residual
 
 
@@ -312,3 +312,61 @@ def test_cut_projection_raises_exactly_when_the_range_excludes_b(cut, where, shi
     else:
         with pytest.raises(InfeasibleSetError):
             project_intersection(base, a, b, z, anchor=anchor)
+
+
+def _outcome(fn, *args):
+    # The bytes of the projection, or the error it raised.
+    try:
+        return fn(*args).tobytes()
+    except InfeasibleSetError:
+        return InfeasibleSetError
+
+
+def _assert_prepared_is_per_call(base, a, b, points):
+    # The set builds its cut once; project_intersection builds it for every
+    # call.  Each point, projected in turn onto one set object and then again
+    # in reverse order, gives the bytes of the per-call projection each time.
+    cset = IntersectionWithHyperplane(base, a, b)
+    for z in points + points[::-1]:
+        assert _outcome(project, cset, z) == _outcome(project_intersection, base, a, b, z)
+
+
+@PROPERTY_SETTINGS
+@given(cuts())
+def test_prepared_cut_is_the_per_call_cut_bit_for_bit(cut):
+    base, a, z, _, v = cut
+    _assert_prepared_is_per_call(base, a, float(a @ v), [z, 2.0 * v - z])
+
+
+@pytest.mark.parametrize("kind", ["box", "simplex"])
+def test_prepared_cut_is_the_per_call_cut_on_the_hyperplane_workload_sets(kind):
+    # The two cut sets of the benchmark's hyperplane workload at n = 4000.
+    rng, n = np.random.default_rng(30), 4000
+    a = rng.uniform(0.5, 1.5, n)
+    if kind == "box":
+        base, b = Box(np.zeros(n), np.ones(n)), 0.45 * float(a.sum())
+        points = [rng.uniform(-0.5, 1.5, n) for _ in range(3)]
+    else:
+        base, b = Simplex(1.0), float(np.mean(a))
+        points = [rng.uniform(0.0, 2.0 / n, n) for _ in range(3)]
+    _assert_prepared_is_per_call(base, a, b, points)
+
+
+def test_cut_set_edge_cases_keep_their_outcomes():
+    unit_cube = Box(np.zeros(3), np.ones(3))
+    missed = IntersectionWithHyperplane(unit_cube, np.ones(3), 5.0)  # builds: a.x <= 3 on the cube
+    for z in (np.zeros(3), np.full(3, 2.0), np.array([0.3, -1.0, 4.0])):
+        with pytest.raises(InfeasibleSetError):
+            project(missed, z)
+    face = IntersectionWithHyperplane(unit_cube, np.ones(3), 3.0)
+    assert np.array_equal(project(face, np.array([0.3, -1.0, 4.0])), np.ones(3))
+    # Bounds of size 1 stand for all three coordinates, with and without a
+    # zero entry in the normal.
+    short = Box(np.zeros(1), np.ones(1))
+    z = np.array([0.3, 1.5, -0.2])
+    for a, b in ((np.array([1.0, 0.0, 2.0]), 1.0), (np.array([1.0, 3.0, 2.0]), 2.5)):
+        x = project(IntersectionWithHyperplane(short, a, b), z)
+        assert np.array_equal(x, project_intersection(short, a, b, z))
+        assert abs(float(a @ x) - b) <= 1e-12
+    with pytest.raises(ValueError):
+        IntersectionWithHyperplane(unit_cube, np.zeros(3), 1.0)

@@ -124,6 +124,25 @@ def test_set_parameter_validation():
         Hyperplane(np.zeros(2), 1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda a: Halfspace(a, 0.5), lambda a: Hyperplane(a, 0.25),
+     lambda a: IntersectionWithHyperplane(Box(np.zeros(3), np.ones(3)), a, 1.5)],
+    ids=["Halfspace", "Hyperplane", "IntersectionWithHyperplane"],
+)
+def test_set_keeps_its_own_read_only_normal(make):
+    # The set and what it builds from a stay as they were when the caller
+    # later writes into its own array.
+    a, z = np.array([1.0, 2.0, 3.0]), np.array([0.9, -0.4, 0.8])
+    cset = make(a)
+    before = project(cset, z)
+    a[:] = [-5.0, 0.5, 7.0]
+    assert np.array_equal(cset.a, [1.0, 2.0, 3.0])
+    assert project(cset, z).tobytes() == before.tobytes()
+    with pytest.raises(ValueError):
+        cset.a[0] = 4.0
+
+
 def test_projection_nonexpansive_all_variants():
     rng = np.random.default_rng(0)
     for cset in _variants(4, rng):
