@@ -79,11 +79,11 @@ def solve_three_step(problem, config=None, u0=None):
     def update(u, s, k):
         mu = s.rho if config.mu_step is None else config.mu_step
         beta = s.rho if config.beta_step is None else config.beta_step
-        y = recover_iterate(problem, u, project(problem.K, s.gu - mu * s.t))
+        y = recover_iterate(problem, u, project(problem.K, s.gu - mu * s.t), s.gu)
         gy = g_value(problem, y)
-        w = recover_iterate(problem, y, project(problem.K, gy - beta * effective_T(problem, y)))
+        w = recover_iterate(problem, y, project(problem.K, gy - beta * effective_T(problem, y)), gy)
         gw = g_value(problem, w)
-        return recover_iterate(problem, w, project(problem.K, gw - s.rho * effective_T(problem, w))), None, None
+        return recover_iterate(problem, w, project(problem.K, gw - s.rho * effective_T(problem, w)), gw), None, None
 
     report = iterate_residual(problem, config, u, update, {"algorithm": "three-step"})
     last = report.details["rho"]
@@ -122,7 +122,7 @@ def gap_N(problem, u, rho):
     u = np.atleast_1d(np.asarray(u, dtype=float))
     s = projection_stage(problem, u, rho)
     dist = float(np.linalg.norm(s.p - (s.gu - rho * s.t)))
-    return GapEvaluation(_gap_value(s.gu, s.t, s.p, rho), recover_iterate(problem, u, s.p), dist)
+    return GapEvaluation(_gap_value(s.gu, s.t, s.p, rho), recover_iterate(problem, u, s.p, s.gu), dist)
 
 
 def solve_gap_descent(problem, config=None, u0=None):

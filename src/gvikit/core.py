@@ -118,7 +118,7 @@ def g_value(problem, u):
     return eval_operator(problem, "g", u)
 
 
-def recover_iterate(problem, point, new_g_value):
+def recover_iterate(problem, point, new_g_value, g_point=None):
     """Recover an iterate whose g-value should equal ``new_g_value``.
 
     Uses g_inverse when supplied, otherwise the fixed-point device
@@ -131,6 +131,9 @@ def recover_iterate(problem, point, new_g_value):
         Reference iterate at which the device is applied.
     new_g_value : ndarray
         Target value in g-image space.
+    g_point : ndarray, optional
+        g(point) when the caller already holds it; g is then not
+        evaluated again.
 
     Returns
     -------
@@ -140,7 +143,7 @@ def recover_iterate(problem, point, new_g_value):
         return np.asarray(new_g_value, dtype=float)
     if problem.g_inverse is not None:
         return eval_operator(problem, "g_inverse", new_g_value)
-    return point - g_value(problem, point) + new_g_value
+    return point - (g_value(problem, point) if g_point is None else g_point) + new_g_value
 
 
 @dataclass
@@ -627,7 +630,7 @@ def first_difference_rho(problem, u, gu, t):
     t_size = vector_norm(t)
     if t_size == 0.0:
         return 1.0
-    x = recover_iterate(problem, u, project(problem.K, gu - (_FIRST_DIFFERENCE / t_size) * t))
+    x = recover_iterate(problem, u, project(problem.K, gu - (_FIRST_DIFFERENCE / t_size) * t), gu)
     step = vector_norm(x - u)
     t_change = vector_norm(effective_T(problem, x) - t)
     if t_change <= 1e-12 * step:

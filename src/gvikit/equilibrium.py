@@ -198,7 +198,7 @@ def solve_eq_predictor_corrector(problem, config=None, u0=None):
 
     def step(u, k):
         nonlocal gu, gw
-        w = recover_iterate(problem, u, gw)
+        w = recover_iterate(problem, u, gw, gu)
         g_next = _checked_oracle_value(problem.K, problem.aux_oracle(w, gw, rho), "equilibrium")
         u_next = recover_iterate(problem, w, g_next)
         check_divergence(u_next)
@@ -249,12 +249,12 @@ def solve_eq_inertial(problem, config=None, u0=None):
         # Composed with P_K, which keeps its fixed points: the oracle sees only
         # anchors with g-values in K, whatever the accelerated trial w.
         def proximal(w):
-            anchor = recover_iterate(problem, u, project(problem.K, w))
+            anchor = recover_iterate(problem, u, project(problem.K, w), gu)
             return _checked_oracle_value(problem.K, problem.aux_oracle(anchor, center, rho), "equilibrium")
 
         w, inner = inner_fixed_point(proximal, gu.copy(), config, "eq-inertial", k)
         gu_prev = gu
-        u_next = recover_iterate(problem, u, w)
+        u_next = recover_iterate(problem, u, w, gu)
         check_divergence(u_next)
         return u_next, vector_norm(w - gu), {"alpha_n": alpha_n, "inner_iters": inner}
 
@@ -283,7 +283,7 @@ def solve_varlike(problem, config=None, u0=None):
     def step(u, k):
         gu = g_value(problem, u)
         g_next = _checked_oracle_value(problem.K, problem.aux_oracle(u, gu, rho), "variational-like")
-        u_next = recover_iterate(problem, u, g_next)
+        u_next = recover_iterate(problem, u, g_next, gu)
         check_divergence(u_next)
         return u_next, float(np.linalg.norm(np.asarray(problem.eta(g_next, gu), dtype=float))), None
 

@@ -16,7 +16,7 @@ at every step, needs.  The sets keep read-only copies of their normals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,7 +24,14 @@ from .errors import InfeasibleSetError, UnsupportedSetError
 
 @dataclass(frozen=True)
 class ConvexSet:
-    """Base class for the supported convex-set variants."""
+    """Base class for the supported convex-set variants.
+
+    A set pickles and copies as its constructor call, so an unpickled set
+    builds its own read-only normal and prepared cut again.
+    """
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True)
@@ -123,8 +130,7 @@ class IntersectionWithHyperplane(ConvexSet):
     b: float
 
     def __post_init__(self):
-        if not isinstance(self.base, INTERSECTION_BASES):
-            raise ValueError("intersection base must be Box, NonnegOrthant, or Simplex")
+        check_intersection_base(self.base)
         _set_normal(self, "hyperplane")
         object.__setattr__(self, "_cut", _build_cut(self.base, self.a, self.b, None))
 

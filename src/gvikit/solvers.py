@@ -7,6 +7,8 @@ where the operator is evaluated and how implicitly the step is taken.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .core import (
@@ -109,7 +111,7 @@ def solve_two_step(problem, config=None, u0=None):
     lam, xi = config.lam, config.xi
 
     def update(u, s, k):
-        y = recover_iterate(problem, u, s.p)
+        y = recover_iterate(problem, u, s.p, s.gu)
         gy = g_value(problem, y)
         mid = (1.0 - xi) * u + xi * y
         w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - s.rho * effective_T(problem, mid))
@@ -138,7 +140,16 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
     - ExplicitT: explicit update w = P_K[g(u_n) - (rho*h/(1+h))*T(u_n)],
       the variational form of the explicit discretization (the raw
       printed fixed-point relation is not stationary at solutions, so the
-      equivalent inequality form is taken as normative).
+      equivalent inequality form is taken as normative).  That is the
+      projection step at rho' = rho*h/(1+h): the stages run at rho', and
+      w is the stage's own projected point, one projection per step.  The
+      stop certifies tol at rho', which ``details["rho"]`` and
+      ``details["rho_ref"]`` report.  Under rho=None the learned stage
+      rho is the step itself, so h has no effect and the iterates are
+      those of the projection run (for a g without g_inverse too).
+
+    Every variant recovers u_{n+1} from w through g_inverse when supplied,
+    else through the u - g(u) + . device with the stage's g(u_n).
 
     Parameters
     ----------
@@ -161,18 +172,19 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
         raise ValueError(f"variant must be one of {_VARIANTS}")
     config, _, u = prepare_solve(problem, config, u0)
     h = config.h
-    damp = h / (1.0 + h)
+    if variant == EXPLICIT_T and config.rho is not None:
+        config = replace(config, rho=config.rho * h / (1.0 + h))
 
     def update(u, s, k):
         gu = s.gu
         if variant == EXPLICIT_T:
-            return recover_iterate(problem, u, project(problem.K, gu - s.rho * damp * s.t)), _step_gsq, None
+            return recover_iterate(problem, u, s.p, gu), _step_gsq, None
         last = None  # (w, T(u(w))) of the last trial
 
         def damped(w):
             nonlocal last
             arg = w if variant == FULL_IMPLICIT else gu
-            last = (w, effective_T(problem, recover_iterate(problem, u, w)))
+            last = (w, effective_T(problem, recover_iterate(problem, u, w, gu)))
             return (h * project(problem.K, arg - s.rho * last[1]) + gu) / (1.0 + h)
 
         # The stage's projection gives the first inner value: at w = g(u) both
@@ -181,7 +193,7 @@ def solve_dynamical(problem, config=None, u0=None, variant=FORWARD_T):
         # A trial can land on the fixed point itself; then T at the returned
         # point is already known.
         t_next = last[1] if last is not None and np.array_equal(last[0], w) else None
-        return recover_iterate(problem, u, w), _step_gsq, t_next
+        return recover_iterate(problem, u, w, gu), _step_gsq, t_next
 
     details = {"algorithm": "dynamical", "variant": variant, "h": h}
     return iterate_residual(problem, config, u, update, details, lyapunov=known_solution_lyapunov(problem))

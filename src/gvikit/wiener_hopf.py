@@ -85,7 +85,7 @@ def _search_step(problem, u, s, config, start):
     R = s.r
     search = armijo_search(problem, u, R, config.gamma, config.sigma, T_u=s.t, start=start)
     eta = search.eta
-    y = recover_iterate(problem, u, s.gu - eta * R)
+    y = recover_iterate(problem, u, s.gu - eta * R, s.gu)
     # Only for the identity g is y the Armijo trial point itself.
     Ty = search.trial_T if problem.g is None else effective_T(problem, y)
     d = -(eta * R - eta * s.t + Ty)
@@ -119,7 +119,7 @@ def _solve_double_projection(problem, config, u0, optimal):
             g_next = project(problem.K, moved)
         info["d"] = d
         info["step_g"] = g_next - s.gu
-        return recover_iterate(problem, u, g_next), info, None
+        return recover_iterate(problem, u, g_next, s.gu), info, None
 
     details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
     return iterate_residual(problem, config, u, update, details)
@@ -207,8 +207,8 @@ def solve_whe(problem, config=None, u0=None):
         if not 0.0 < a_n <= 1.0:
             raise ValueError("alpha_schedule values must lie in (0, 1]")
         shifted = s.gu - s.rho * s.t
-        y = recover_iterate(problem, u, s.p)
+        y = recover_iterate(problem, u, s.p, s.gu)
         w = project(problem.K, s.p - s.rho * effective_T(problem, y) + s.p - shifted)
-        return recover_iterate(problem, u, (1.0 - a_n) * s.gu + a_n * w), {"alpha_n": a_n}, None
+        return recover_iterate(problem, u, (1.0 - a_n) * s.gu + a_n * w, s.gu), {"alpha_n": a_n}, None
 
     return iterate_residual(problem, config, u, update, {"algorithm": "whe"})

@@ -287,6 +287,37 @@ def test_scheme_reductions_coincide(example4_5):
     assert np.max(np.abs(ts.solution - plain.solution)) <= 1e-10
 
 
+@pytest.mark.parametrize(("pid", "n", "rho", "h", "iterations"), [
+    ("example3", 2000, 0.15, 1.0, 107), ("example3", 2000, 0.15, 0.5, 161),
+    ("example4", 100_000, 0.5, 1.0, 52), ("example4", 100_000, 0.5, 0.5, 79),
+    ("example2", None, 0.1, 1.0, 419), ("example2", None, 0.1, 0.5, 586),
+])
+def test_explicit_dynamical_is_the_projection_step_at_rho_h_over_1_plus_h(pid, n, rho, h, iterations):
+    # The explicit step P_K[g(u) - rho*h/(1+h)*T(u)] is the projection
+    # step at rho' = rho*h/(1+h), and the run certifies tol at rho'.
+    problem = build_problem(ProblemSpec(pid) if n is None else ProblemSpec(pid, n=n))
+    explicit = solve_dynamical(problem, SolveConfig(rho=rho, h=h), variant="ExplicitT")
+    plain = solve_projection(problem, SolveConfig(rho=rho * h / (1.0 + h)))
+    assert explicit.converged
+    assert explicit.iterations == plain.iterations == iterations
+    assert explicit.solution.tobytes() == plain.solution.tobytes()
+    assert explicit.details["rho"] == explicit.details["rho_ref"] == rho * h / (1.0 + h)
+    assert np.linalg.norm(residual(problem, explicit.solution, explicit.details["rho"])) <= 1e-7
+
+
+@pytest.mark.parametrize("pid, n", [("example2", None), ("example3", 100), ("example4", 100)])
+def test_explicit_dynamical_with_a_learned_rho_is_the_projection_run(pid, n):
+    # Under rho=None the learned stage rho is the step itself, so h has no effect.
+    problem = build_problem(ProblemSpec(pid) if n is None else ProblemSpec(pid, n=n))
+    plain = solve_projection(problem)
+    for h in (1.0, 0.3):
+        explicit = solve_dynamical(problem, SolveConfig(h=h), variant="ExplicitT")
+        assert explicit.converged
+        assert explicit.iterations == plain.iterations
+        assert explicit.solution.tobytes() == plain.solution.tobytes()
+        assert (explicit.details["rho"], explicit.details["rho_ref"]) == (plain.details["rho"], plain.details["rho_ref"])
+
+
 @pytest.mark.parametrize("pid, n", [("example3", 10), ("example3", 100), ("example4", 10), ("example4", 100)])
 def test_higher_order_implicit_is_the_resolvent_step(pid, n):
     # The power term's gradient vanishes at v = anchor, so at the implicit

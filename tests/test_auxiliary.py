@@ -248,7 +248,7 @@ def test_gap_residual_equivalence_on_branches():
     strict=True,
     reason="gap descent at a fixed rho = 0.15 runs all 1000 iterations on example3 (n = 100) "
     "and ends at a natural residual of 3.4e-3 without raising; the modified descent of "
-    "ROADMAP item 5 is meant to fix it",
+    "ROADMAP item 9 is meant to fix it",
 )
 def test_gap_descent_converges_on_example3_at_fixed_rho():
     problem = build_problem(ProblemSpec("example3", n=100))

@@ -22,7 +22,10 @@ from gvikit import (
     solve_projection,
     wiener_hopf_residual,
 )
+import gvikit.auxiliary
 import gvikit.core
+import gvikit.solvers
+import gvikit.wiener_hopf
 from gvikit.core import check_divergence, g_value, inner_fixed_point, projection_stage, recover_iterate
 from gvikit.errors import (
     CapabilityError,
@@ -148,6 +151,42 @@ def test_solvers_recover_iterates_through_the_g_device(algorithm):
     report = ALGORITHMS[algorithm](problem, SolveConfig(rho=0.15))
     assert report.converged
     assert np.max(np.abs(report.solution - solution)) <= 1e-6
+
+
+# g evaluations at rho = 0.15: (with the g(point) each step holds, with g
+# evaluated again at every recovery).
+G_CALLS = {
+    "two-step": (61, 91), "whe": (22, 64), "three-step": (43, 85), "dynamical-forward": (107, 569),
+    "dynamical-implicit": (58, 312), "dp-basic": (47, 139), "dp-optimal": (47, 139),
+}
+
+
+@pytest.mark.parametrize("algorithm", G_CALLS)
+def test_g_device_takes_the_g_value_the_step_holds(algorithm, monkeypatch):
+    # A recovery from a point whose g-value the step holds (the stage's
+    # g(u), or a three-step stage's g(y) and g(w)) evaluates no g, and
+    # gives the bytes of a recovery that evaluates g again.
+    problem, _ = _example3_under_a_g_without_inverse()
+    calls, g = [0], problem.g
+
+    def counted_g(u):
+        calls[0] += 1
+        return g(u)
+
+    problem = dataclasses.replace(problem, g=counted_g)
+    held = ALGORITHMS[algorithm](problem, SolveConfig(rho=0.15))
+    held_calls, calls[0] = calls[0], 0
+
+    def fresh(problem, point, new_g_value, g_point=None):
+        return recover_iterate(problem, point, new_g_value)
+
+    for module in (gvikit.solvers, gvikit.wiener_hopf, gvikit.auxiliary):
+        monkeypatch.setattr(module, "recover_iterate", fresh)
+    again = ALGORITHMS[algorithm](problem, SolveConfig(rho=0.15))
+    assert held.converged
+    assert (held_calls, calls[0]) == G_CALLS[algorithm]
+    assert held.iterations == again.iterations
+    assert held.solution.tobytes() == again.solution.tobytes()
 
 
 @pytest.mark.parametrize("algorithm", ["extragradient", "gap-descent"])

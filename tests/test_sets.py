@@ -1,9 +1,12 @@
 """Projection, distance, and hyperplane-intersection behavior."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from gvikit.errors import InfeasibleSetError
+from gvikit.errors import InfeasibleSetError, UnsupportedSetError
 from gvikit.sets import (
     Box,
     Halfspace,
@@ -122,6 +125,9 @@ def test_set_parameter_validation():
         Simplex(total=0.0)
     with pytest.raises(ValueError):
         Hyperplane(np.zeros(2), 1.0)
+    # A cut's base follows the rule of project_intersection and dp-optimal.
+    with pytest.raises(UnsupportedSetError, match="not Halfspace"):
+        IntersectionWithHyperplane(Halfspace(np.ones(2), 1.0), np.ones(2), 1.0)
 
 
 @pytest.mark.parametrize(
@@ -141,6 +147,27 @@ def test_set_keeps_its_own_read_only_normal(make):
     assert project(cset, z).tobytes() == before.tobytes()
     with pytest.raises(ValueError):
         cset.a[0] = 4.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda a: Halfspace(a, 0.5), lambda a: Hyperplane(a, 0.25),
+     lambda a: IntersectionWithHyperplane(Box(np.zeros(3), np.ones(3)), a, 1.5),
+     lambda a: IntersectionWithHyperplane(Simplex(2.0), a, 3.0)],
+    ids=["Halfspace", "Hyperplane", "IntersectionWithHyperplane-Box", "IntersectionWithHyperplane-Simplex"],
+)
+@pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_set_rebuilds_its_read_only_normal_when_unpickled(make, clone):
+    # The clone is built by the constructor again: its normal is its own
+    # read-only copy, and it projects to the same bytes.
+    z = np.array([0.9, -0.4, 0.8])
+    cset = make(np.array([1.0, 2.0, 3.0]))
+    again = clone(cset)
+    assert type(again) is type(cset)
+    assert not again.a.flags.writeable
+    assert again.a is not cset.a
+    assert np.array_equal(again.a, cset.a) and again.b == cset.b
+    assert project(again, z).tobytes() == project(cset, z).tobytes()
 
 
 def test_projection_nonexpansive_all_variants():
