@@ -108,14 +108,33 @@ def _growth(coef, power):
 
 
 def _rowdot(a, b):
-    """Dot product of each row of a with the same row of b, each as one a @ b."""
+    """Dot product of each row of a with the same row of b, each as one a @ b.
+
+    On rows of width 1 that is the single product; the BLAS dot adds it to
+    0.0, which turns a -0.0 product into 0.0, and so does the + 0.0 here.
+    """
+    if a.shape[1] == 1:
+        return (a * b)[:, 0] + 0.0
     return np.array([x @ y for x, y in zip(a, b)])
+
+
+def _stack(points):
+    """The sampled points as the rows of one float array, each row as np.atleast_1d gives it."""
+    rows = np.array(points, dtype=float)
+    return rows[:, None] if rows.ndim == 1 else rows
+
+
+def _each(fn, ys, one):
+    """one(y) for each row y of ys, stacked, or one fn.rows(ys) call when fn has rows."""
+    rows = getattr(fn, "rows", None)
+    return np.array([one(y) for y in ys]) if rows is None else rows(ys)
 
 
 def _ends(fut, pairs):
     """g-images (one row per pair), F values and gaps ||g(v) - g(u)|| of the pairs."""
-    yu, yv = (np.array([fut.g_image(w) for w in ends]) for ends in zip(*pairs))
-    Fu, Fv = (np.array([fut.value(y) for y in ys]) for ys in (yu, yv))
+    us, vs = (_stack(ends) for ends in zip(*pairs))
+    yu, yv = (ys if fut.g is None else _each(fut.g, ys, fut.g_image) for ys in (us, vs))
+    Fu, Fv = (_each(fut.F, ys, fut.value) for ys in (yu, yv))
     return yu, yv, Fu, Fv, np.sqrt(_rowdot(yv - yu, yv - yu))
 
 
@@ -123,16 +142,18 @@ def _blend(fut, yu, yv, t, scale):
     """F at yu + t(yv - yu) per pair (rows) and t (columns) where the pair's scale is finite, else NaN."""
     points = yu[:, None] + t[:, None] * (yv - yu)[:, None]
     values = np.full(points.shape[:2], np.nan)
-    for i in np.flatnonzero(np.isfinite(scale)):
-        values[i] = [fut.value(y) for y in points[i]]
+    finite = np.isfinite(scale)
+    kept = points[finite]
+    values[finite] = _each(fut.F, kept.reshape(-1, kept.shape[2]), fut.value).reshape(kept.shape[:2])
     return values
 
 
 def _gradients(fut, y, scale):
     """The gradient at each row of y whose pair's scale is finite, else NaN."""
     grads = np.full(y.shape, np.nan)
-    for i in np.flatnonzero(np.isfinite(scale)):
-        grads[i] = fut.gradient(y[i])
+    finite = np.isfinite(scale)
+    if finite.any():  # a stack of no one-point gradients has no columns
+        grads[finite] = _each(fut.grad_F, y[finite], fut.gradient)
     return grads
 
 
@@ -162,7 +183,7 @@ def _gradient_char(fut, pairs, t=None):
 @_quiet
 def _parallelogram(p, mu, pairs, t=None):
     """Lower law per pair; the legs are its size and the modulus that makes it tight, if ||v-u||^p > 1e-12."""
-    u, v = (np.array([np.atleast_1d(np.asarray(w, dtype=float)) for w in ends]) for ends in zip(*pairs))
+    u, v = (_stack(ends) for ends in zip(*pairs))
     plus, gap, pu, pv = (_pow(np.sqrt(_rowdot(x, x)), p) for x in (u + v, v - u, u, v))
     rhs = _pow_or_inf(2.0, p - 1.0) * (pu + pv)
     viol = plus + _growth(mu, gap) - rhs
@@ -411,34 +432,53 @@ def check_hierarchy(fut, samples=200, t_grid=None, seed=0):
                   lambda low, high: {"log": -np.inf, **high})
 
 
+def _on_rows(point, rows):
+    """point, a map of one point, given ``rows``: its values at each row of an (m, dim) array."""
+    point.rows = rows
+    return point
+
+
+def _first_powers(ys, p):
+    """y[0] ** p for each row y, each by numpy's scalar power as on one point (the array power may round differently)."""
+    return np.array([y ** p for y in ys[:, 0]])
+
+
 def builtin_functions():
-    """Registry of ready-made FunctionUnderTest instances by id."""
+    """Registry of ready-made FunctionUnderTest instances by id.
+
+    Each builtin's F, grad_F and g is a map of one point that also has
+    ``rows``, which maps an (m, dim) array to its m values, bit for bit
+    the values on each row; the sweeps call it once per batch.  erf-sqrt's
+    F (``math.erf``, which numpy lacks) is evaluated point by point, as a
+    user's F is.
+    """
     return {
         "quadratic": FunctionUnderTest(
-            F=lambda y: float(y @ y),
-            grad_F=lambda y: 2.0 * np.asarray(y, dtype=float),
+            # Each row by its own y @ y: a reduction along the rows rounds differently.
+            F=_on_rows(lambda y: float(y @ y), lambda ys: np.array([y @ y for y in ys])),
+            grad_F=_on_rows(lambda y: 2.0 * np.asarray(y, dtype=float), lambda ys: 2.0 * ys),
             domain_sampler=lambda rng: rng.uniform(-2.0, 2.0, 3),
             mu=1.0,
         ),
         "affine": FunctionUnderTest(
-            F=lambda y: float(np.sum(y)) + 1.0,
-            grad_F=lambda y: np.ones(np.atleast_1d(y).size),
+            F=_on_rows(lambda y: float(np.sum(y)) + 1.0, lambda ys: np.sum(ys, axis=1) + 1.0),
+            grad_F=_on_rows(lambda y: np.ones(np.atleast_1d(y).size), lambda ys: np.ones(ys.shape)),
             domain_sampler=lambda rng: rng.uniform(-2.0, 2.0, 3),
         ),
         "quartic": FunctionUnderTest(
-            F=lambda y: float(y[0] ** 4),
-            grad_F=lambda y: np.array([4.0 * y[0] ** 3]),
+            F=_on_rows(lambda y: float(y[0] ** 4), lambda ys: _first_powers(ys, 4)),
+            grad_F=_on_rows(lambda y: np.array([4.0 * y[0] ** 3]), lambda ys: 4.0 * _first_powers(ys, 3)[:, None]),
             domain_sampler=lambda rng: rng.uniform(-1.0, 1.0, 1),
         ),
         "sine": FunctionUnderTest(
-            F=lambda y: float(np.sin(y[0])),
-            grad_F=lambda y: np.array([np.cos(y[0])]),
+            F=_on_rows(lambda y: float(np.sin(y[0])), lambda ys: np.sin(ys[:, 0])),
+            grad_F=_on_rows(lambda y: np.array([np.cos(y[0])]), lambda ys: np.cos(ys[:, :1])),
             domain_sampler=lambda rng: rng.uniform(0.0, np.pi, 1),
             mu=0.1,
         ),
         "exp-square": FunctionUnderTest(
-            F=lambda y: float(np.exp(y[0] ** 2)),
-            g=lambda u: u * u,
+            F=_on_rows(lambda y: float(np.exp(y[0] ** 2)), lambda ys: np.exp(_first_powers(ys, 2))),
+            g=_on_rows(lambda u: u * u, lambda us: us * us),
             domain_sampler=lambda rng: rng.uniform(0.0, 2.0, 1),
         ),
         "erf-sqrt": FunctionUnderTest(
@@ -446,11 +486,11 @@ def builtin_functions():
             domain_sampler=lambda rng: rng.uniform(1e-6, 4.0, 1),
         ),
         "log1p-square": FunctionUnderTest(
-            F=lambda y: float(np.log1p(y[0] ** 2)),
+            F=_on_rows(lambda y: float(np.log1p(y[0] ** 2)), lambda ys: np.log1p(_first_powers(ys, 2))),
             domain_sampler=lambda rng: rng.uniform(-1.0, 1.0, 1),
         ),
         "abs-sqrt": FunctionUnderTest(
-            F=lambda y: float(np.sqrt(abs(y[0]))),
+            F=_on_rows(lambda y: float(np.sqrt(abs(y[0]))), lambda ys: np.sqrt(np.abs(ys[:, 0]))),
             domain_sampler=lambda rng: rng.uniform(-1.0, 1.0, 1),
         ),
     }

@@ -79,6 +79,14 @@ class GviProblem:
 def eval_operator(problem, name, u):
     """Evaluate one of the problem's maps with a finiteness check.
 
+    The output is ``np.atleast_1d(np.asarray(out, dtype=float))``: a 1-d
+    float64 ndarray is returned as the map gave it, and ``atleast_1d`` is
+    called only on an output that is not 1-d.  Finiteness of a 1-d output
+    is decided by one dot product, out . out, and the entries are scanned
+    only when that is not finite: NaN or inf entries raise, finite entries
+    whose squares overflow do not (numpy warns of the overflow, as in
+    :func:`check_divergence`).
+
     Parameters
     ----------
     problem : GviProblem
@@ -102,8 +110,10 @@ def eval_operator(problem, name, u):
         if problem.g is None:
             return np.asarray(u, dtype=float)
         raise CapabilityError("g_inverse required but not supplied")
-    out = np.atleast_1d(np.asarray(fn(u), dtype=float))
-    if not np.isfinite(out).all():
+    out = np.asarray(fn(u), dtype=float)
+    if out.ndim != 1:
+        out = np.atleast_1d(out)
+    if not (out.ndim == 1 and math.isfinite(out.dot(out))) and not np.isfinite(out).all():
         raise NumericDomainError(name)
     return out
 

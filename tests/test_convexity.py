@@ -9,6 +9,7 @@ import pytest
 from gvikit.convexity_lab import (
     FunctionUnderTest,
     _pow,
+    _rowdot,
     builtin_functions,
     check_exp_convex,
     check_gradient_char,
@@ -405,3 +406,58 @@ def test_sweep_reproduces_the_per_triple_loop_bit_for_bit(registry, kind, fid, s
         np.testing.assert_array_equal(got, expected)
     details = {"exp": high, "hierarchy": {"log": -np.inf, **high}}.get(kind)
     assert report.details == details
+
+
+def _exp_violation(fut, u, v, t):
+    curve = exp_convex_violation(fut, u, v, t)
+    return curve if fut.grad_F is None else max(curve, exp_gradient_violation(fut, u, v))
+
+
+@pytest.mark.parametrize("fid", sorted(builtin_functions()))
+def test_each_violation_helper_reproduces_its_reports_worst_violation(registry, fid):
+    # A helper evaluates F on one pair, a sweep on whole batches (one rows
+    # call per batch for a builtin), so each row's value must be the value
+    # of that row alone, bit for bit.
+    fut = registry[fid]
+    checks = [
+        (check_hos_convex, lambda u, v, t: hos_convex_violation(fut, u, v, t)),
+        (check_gradient_char, lambda u, v, t: gradient_char_violation(fut, u, v)),
+        (check_exp_convex, lambda u, v, t: _exp_violation(fut, u, v, t)),
+        (check_hierarchy, lambda u, v, t: hierarchy_violation(fut, u, v, t)),
+    ]
+    compared = 0
+    for seed in range(1, 11):
+        for check, helper in checks:
+            try:
+                report = check(fut, seed=seed)
+            except NumericDomainError:  # e^F overflows at every sampled end
+                continue
+            if report.witness is not None:
+                assert helper(*report.witness) == report.worst_violation
+                compared += 1
+    assert compared >= 20
+
+
+@pytest.mark.parametrize("fid", sorted(builtin_functions()))
+def test_builtin_rows_are_the_values_at_each_point(registry, fid):
+    # F, grad_F and g on an (m, dim) array give the bytes of m calls on one
+    # point, at sampled ends and at blend points between them.
+    fut = registry[fid]
+    rng = np.random.default_rng(3)
+    ends = np.array([fut.g_image(fut.domain_sampler(rng)) for _ in range(400)])
+    t = rng.uniform(0.0, 1.0, (200, 1))
+    points = np.concatenate((ends, ends[:200] + t * (ends[200:] - ends[:200])))
+    for fn, one in ((fut.F, fut.value), (fut.grad_F, fut.gradient), (fut.g, fut.g_image)):
+        if hasattr(fn, "rows"):
+            assert fn.rows(points).tobytes() == np.array([one(y) for y in points]).tobytes()
+    assert hasattr(fut.F, "rows") == (fid != "erf-sqrt")
+
+
+def test_rowdot_is_each_rows_dot_product():
+    # Width 1 is the single product, which the BLAS dot adds to 0.0.
+    rng = np.random.default_rng(4)
+    for width in (1, 3):
+        a = rng.standard_normal((300, width))
+        b = rng.standard_normal((300, width))
+        a[:100], b[50:150] = 0.0, -0.0
+        assert _rowdot(a, b).tobytes() == np.array([x @ y for x, y in zip(a, b)]).tobytes()

@@ -26,7 +26,14 @@ import gvikit.auxiliary
 import gvikit.core
 import gvikit.solvers
 import gvikit.wiener_hopf
-from gvikit.core import check_divergence, g_value, inner_fixed_point, projection_stage, recover_iterate
+from gvikit.core import (
+    check_divergence,
+    eval_operator,
+    g_value,
+    inner_fixed_point,
+    projection_stage,
+    recover_iterate,
+)
 from gvikit.errors import (
     CapabilityError,
     DivergenceError,
@@ -461,6 +468,43 @@ def test_divergence_detector():
     for edge in (np.array([1e12]), np.array([0.6e12, 0.8e12])):
         assert np.linalg.norm(edge) == 1e12
         check_divergence(edge)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["T", "g", "g_inverse"])
+def test_eval_operator_rejects_a_non_finite_map(bad, name):
+    out = np.array([1.0, bad, 2.0])
+    problem = GviProblem(dim=3, T=lambda x: out, K=NonnegOrthant())
+    setattr(problem, name, lambda x: out)  # set after construction, which would probe a g_inverse
+    with pytest.raises(NumericDomainError) as err:
+        eval_operator(problem, name, np.zeros(3))
+    assert err.value.component == name
+
+
+def test_eval_operator_keeps_finite_entries_whose_squares_overflow():
+    # out . out overflows to inf, so the entries are scanned, and they are
+    # finite; a float64 vector is returned as the map gave it.
+    out = np.array([1e200, -1e200, 3.0])
+    problem = GviProblem(dim=3, T=lambda x: out, K=NonnegOrthant())
+    with np.errstate(over="ignore"):
+        assert eval_operator(problem, "T", np.zeros(3)) is out
+
+
+@pytest.mark.parametrize("value", [
+    [1.0, 2.0],
+    np.array([1.5, -2.0], dtype=np.float32),
+    np.array([3, 4]),
+    2.5,
+    np.float64(-1.0),
+    np.arange(4.0)[::-2],
+    np.ones((2, 2)),
+])
+def test_eval_operator_converts_other_outputs_as_before(value):
+    problem = GviProblem(dim=2, T=lambda x: value, K=WholeSpace())
+    out = eval_operator(problem, "T", np.zeros(2))
+    expected = np.atleast_1d(np.asarray(value, dtype=float))
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
 
 
 _STAGE_ENTRIES = st.one_of(

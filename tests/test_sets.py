@@ -2,12 +2,16 @@
 
 import copy
 import pickle
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from gvikit.errors import InfeasibleSetError, UnsupportedSetError
+from gvikit.errors import InfeasibleSetError, NumericDomainError, UnsupportedSetError
 from gvikit.sets import (
+    _SMALL_SIMPLEX,
     Box,
     Halfspace,
     Hyperplane,
@@ -17,6 +21,8 @@ from gvikit.sets import (
     WholeSpace,
     contains,
     distance,
+    _scanned_shift,
+    _sorted_shift,
     project,
     project_intersection,
 )
@@ -222,3 +228,94 @@ def test_projected_points_are_members():
 def test_whole_space_projection_is_identity():
     z = np.array([5.0, -7.0, 0.0])
     np.testing.assert_array_equal(project(WholeSpace(), z), z)
+
+
+def _sort_quiet():
+    # The sort path warns where its sums overflow or meet inf - inf, as numpy does.
+    return np.errstate(over="ignore", invalid="ignore")
+
+
+def _sorted_simplex(z, total):
+    # The sort-based projection, written out: theta from the last k whose
+    # cancellation-safe test holds.
+    with _sort_quiet():
+        u = np.sort(z)[::-1]
+        css = u.cumsum()
+        k = np.arange(1.0, z.size + 1)
+        idx = ((u * k - css) + total > 0).nonzero()[0][-1]
+        return np.maximum(z - (css[idx] - total) / (idx + 1.0), 0.0)
+
+
+_ENTRIES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300, 1.7e308, -1.7e308, -np.inf]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def _shift_or_error(shift, z, total):
+    try:
+        with _sort_quiet():
+            return struct.pack("<d", shift(z, total))
+    except NumericDomainError:
+        return "NumericDomainError"
+
+
+@given(st.lists(_ENTRIES, min_size=1, max_size=_SMALL_SIMPLEX + 1), st.booleans(),
+       st.sampled_from([1.0, 4.0, 1e-300, 1e300]))
+@example([3.0, 3.0, 3.0, 3.0], False, 4.0)
+@example([-1.0, -2.0, -2.0, -5.0], False, 4.0)
+@example([1e300, -1e300, 1e300, 0.5], False, 4.0)
+@example([-1e300] * (_SMALL_SIMPLEX + 1), False, 4.0)
+def test_scanned_simplex_shift_is_the_sorted_shift_bit_for_bit(entries, negate, total):
+    # Ties, huge and all-negative z: the scan on Python floats makes the
+    # sort path's sums and tests, so theta has the same bytes, or both raise.
+    z = np.array(entries, dtype=float)
+    if negate:
+        z = -np.abs(z)
+    assert _shift_or_error(_scanned_shift, z, total) == _shift_or_error(_sorted_shift, z, total)
+    if np.isfinite(z).any():
+        with _sort_quiet():
+            assert project(Simplex(total), z).tobytes() == _sorted_simplex(z, total).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, _SMALL_SIMPLEX + 1, 100])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_simplex_projection_of_nan_or_plus_inf_raises(n, bad):
+    # Either path, at every position: never an IndexError or a NaN point.
+    for i in range(min(n, 8)):
+        z = np.linspace(-1.0, 2.0, n)
+        z[i] = bad
+        with pytest.raises(NumericDomainError), _sort_quiet():
+            project(Simplex(4.0), z)
+    with pytest.raises(NumericDomainError), _sort_quiet():
+        project(Simplex(4.0), np.full(n, -np.inf))
+
+
+@pytest.mark.parametrize("n", [4, _SMALL_SIMPLEX + 1, 100])
+def test_simplex_projection_of_minus_inf_keeps_a_point(n):
+    z = np.linspace(-1.0, 2.0, n)
+    z[0] = -np.inf
+    with _sort_quiet():
+        x = project(Simplex(4.0), z)
+    assert x[0] == 0.0 and np.all(x >= 0.0) and abs(x.sum() - 4.0) <= 1e-12
+    assert x.tobytes() == _sorted_simplex(z, 4.0).tobytes()
+
+
+def test_box_subclass_projects_as_a_box():
+    class Unit(Box):
+        pass
+
+    z = np.array([1.5, -0.2, 0.7])
+    box = Unit(np.zeros(3), np.ones(3))
+    assert project(box, z).tobytes() == project(Box(np.zeros(3), np.ones(3)), z).tobytes()
+
+
+def test_array_sets_compare_and_hash_by_identity():
+    box = Box(np.zeros(3), np.ones(3))
+    sets = [box, Box(np.zeros(3), np.ones(3)), Halfspace(np.ones(3), 1.0), Hyperplane(np.ones(3), 1.0),
+            IntersectionWithHyperplane(box, np.ones(3), 1.0)]
+    assert box == box and box != sets[1]
+    assert len(set(sets)) == len(sets)
+    assert Simplex(1.0) == Simplex(1.0) and hash(Simplex(1.0)) == hash(Simplex(1.0))
+    assert Simplex(1.0) != Simplex(2.0) and WholeSpace() == WholeSpace()
