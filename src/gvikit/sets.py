@@ -121,10 +121,10 @@ class IntersectionWithHyperplane(ConvexSet):
     the base still builds; each ``project`` onto it raises
     ``InfeasibleSetError``), and for a Box or NonnegOrthant the kept
     coordinates, their bounds and a_i^2, for a Simplex the extremes of a
-    and the centred normal.  ``project`` computes the kinks for its z and
-    runs the Newton trials; it returns the bytes ``project_intersection``
-    returns.  ``a`` is kept as a read-only copy, and a Box base's bounds
-    are read here, so write into them only before building the set.
+    and the centred normals.  ``project`` computes the start and kinks for
+    its z and runs the trials, with ``project_intersection``'s bytes.  ``a``
+    is kept as a read-only copy, and a Box base's bounds are read here, so
+    write into them only before building the set.
     """
 
     base: ConvexSet
@@ -156,12 +156,17 @@ def check_intersection_base(base):
 _SMALL_SIMPLEX = 24
 
 
+_quiet = np.errstate(over="ignore", invalid="ignore")  # sums may overflow or meet inf - inf; ~0.5 us a call
+_sum = _quiet(np.ndarray.sum)
+
+
 def _project_simplex(z, total):
     # Exact projection onto {x >= 0, sum(x) = total}: x = max(z - theta, 0).
     theta = _scanned_shift(z, total) if z.size <= _SMALL_SIMPLEX else _sorted_shift(z, total)
     return np.maximum(z - theta, 0.0)
 
 
+@_quiet
 def _sorted_shift(z, total):
     # The feasibility test is arranged so the k=1 entry reduces to total > 0
     # exactly in floating point; the naive u - (css - total)/k form loses it
@@ -275,25 +280,26 @@ def project_intersection(base, a, b, z, anchor=None):
     theta.  The range of a.x over the base is known in closed form, so a
     hyperplane that misses the base is rejected before any search, and one
     that only touches it gives the projection onto the touching face.
-    Every base then runs one safeguarded Newton search from theta = 0
-    (Cominetti, Mascarenhas & Silva 2014) along the linear pieces of phi,
-    of slope -phi' = the sum of a_i^2 over the free coordinates of a Box or
+    Every base then runs one safeguarded Newton search (Cominetti,
+    Mascarenhas & Silva 2014) along the linear pieces of phi, of slope
+    -phi' = the sum of a_i^2 over the free coordinates of a Box or
     NonnegOrthant, or of (a_i - mean_S a)^2 over the support S in a
-    Simplex.  A step that leaves the sign bracket bisects it, or jumps to
-    the outermost kink while the bracket is still open; that far end is
-    computed only then.  A Simplex trial first tries the support of the
-    last sorted projection, and keeps the point when exactly that support
-    stays positive (the projection's KKT signs); otherwise it sorts.
+    Simplex, from the root phi would have were every coordinate free (or
+    from 0 where that is not finite).  A step that leaves the sign bracket
+    bisects it, or jumps to the outermost kink while the bracket is still
+    open; that far end is computed only then.  A Simplex trial first tries
+    the last sort's support (every coordinate before a sort) and keeps the
+    point when exactly it stays positive (the KKT signs); else it sorts.
     With an anchor the hyperplane is ``{x : a.(x - anchor) = b}`` and phi
     is evaluated in that form, so a small offset b is not rounded away
     against a large a.anchor.
 
     What depends on (base, a, b, anchor) alone (the range of a.(x -
     anchor), and the kept coordinates a_i != 0 with their bounds and a_i^2,
-    or a Simplex's extremes of a and centred normal) is built on every
+    or a Simplex's extremes of a and centred normals) is built on every
     call here, as the anchored ``dp-optimal`` corrector, whose a, b and
     anchor change at every step, needs; ``IntersectionWithHyperplane``
-    builds it once per set.  Per z come the kinks and the Newton trials.
+    builds it once per set.  Per z come the start, kinks and trials.
 
     Parameters
     ----------
@@ -378,6 +384,7 @@ class _BoxCut:
             self.face = (up, float(np.sum(terms)), float(np.sum(np.abs(terms))))
         self.lo, self.hi, self.a, self.b, self.ref = lo, hi, a, b, ref
         self.keep, self.an, self.lo_kept, self.hi_kept, self.squares = keep, an, lo[keep], hi[keep], an * an
+        self.rate = float(np.sum(self.squares))  # -phi' where every kept coordinate is free
 
     def __call__(self, z):
         lo, hi, a, b, ref, squares = self.lo, self.hi, self.a, self.b, self.ref, self.squares
@@ -388,28 +395,30 @@ class _BoxCut:
 
         zk = z[self.keep]
         at_hi, at_lo = (zk - self.hi_kept) / self.an, (zk - self.lo_kept) / self.an
-        first, last = np.minimum(at_hi, at_lo), np.maximum(at_hi, at_lo)
+        first, last, past = np.minimum(at_hi, at_lo), np.maximum(at_hi, at_lo), None
 
         def phi(theta):
-            # np.minimum(np.maximum(.)) is np.clip for lo <= hi, without its wrapper.
-            x = np.minimum(np.maximum(z - theta * a, lo), hi)
-            return float(a @ (x if ref is None else x - ref)) - b, x
+            # The trial point in one buffer: np.clip's values for lo <= hi.
+            x = theta * a
+            np.minimum(np.maximum(np.subtract(z, x, out=x), lo, out=x), hi, out=x)
+            return float(a.dot(x if ref is None else x - ref)) - b, x
 
-        # The pattern is how many of its two kinks lie behind theta on the given
-        # side; a coordinate is free there if it has passed exactly one.
+        # The pattern is how many kinks lie behind theta on the given side (past
+        # keeps which): they only grow with theta, so equal counts are equal sets.
         def pattern(theta, x, right):
+            nonlocal past
             past = (first <= theta, last <= theta) if right else (first < theta, last < theta)
-            return np.add(*past, dtype=np.int8)
+            return np.count_nonzero(past[0]) + np.count_nonzero(past[1])
 
-        def slope(behind):
-            return float(squares @ (behind == 1))
+        def slope():  # a coordinate is free once theta has passed one of its kinks, not both
+            return float(squares.dot(past[0] ^ past[1]))
 
         def far(right):
             kinks = np.concatenate((first, last))
             finite = kinks[np.isfinite(kinks)]
             return float(finite.max(initial=0.0) if right else finite.min(initial=0.0))
 
-        return _newton_cut(phi, pattern, slope, far)
+        return _newton_cut(phi, pattern, slope, far, _free_root(a, z, ref, b, self.rate))
 
 
 class _SimplexCut:
@@ -426,10 +435,13 @@ class _SimplexCut:
             extreme = a_max if b >= top else a_min
             size = total * abs(extreme) + (0.0 if ref is None else float(np.abs(a) @ np.abs(ref)))
             self.face = (a == extreme, total * extreme - shift, size)
-        c = 0.5 * (a_max + a_min)
-        self.w = a - c
-        self.offset = b - c * (total - (0.0 if ref is None else float(np.sum(ref))))
+        c, rest = 0.5 * (a_max + a_min), total - (0.0 if ref is None else float(np.sum(ref)))
+        self.w, self.offset = a - c, b - c * rest
         self.base, self.a, self.a_max, self.a_min, self.b, self.ref = base, a, a_max, a_min, b, ref
+        # All free: phi(theta) = d.(z - anchor) - level - theta*d.d, d = w - mean(w): no cancellation.
+        self.d = self.w - np.mean(self.w)
+        self.level, self.rate = self.offset - float(np.mean(self.w)) * rest, float(self.d @ self.d)
+        self.full, self.w_sum = np.ones(a.size, dtype=bool), float(np.sum(self.w))
 
     def __call__(self, z):
         base, a, w, ref, offset = self.base, self.a, self.w, self.ref, self.offset
@@ -440,22 +452,24 @@ class _SimplexCut:
             x[on] = project(base, z[on])
             return _on_face(x, self.b, end, size)
 
-        known = None  # (support S, |S|, sum_S z, sum_S w, slope on S) of the last sort
-        latest = None  # the point of the last trial, which lies on the known support
+        z_sum = float(_sum(z))  # known is (support S, |S|, sum_S z, sum_S w, slope on S)
+        known = (self.full, z.size, z_sum, self.w_sum, self.rate) if math.isfinite(z_sum) else None
+        latest, sorts = None, 0  # the point of the last trial, on the known support; the sorts made
 
         # On a support S, x_i = z_i - theta*w_i - tau(theta) with the shift tau
-        # = (sum_S z - theta*sum_S w - total)/|S| keeping the total, so x_i moves
-        # at mean_S(w) - w_i.  A trial first tries the last support: x is the
-        # projection exactly when its positive coordinates are S (the KKT
-        # conditions).  Otherwise the sort-based projection finds the support.
+        # = (sum_S z - theta*sum_S w - total)/|S| keeping the total.  A trial
+        # first tries the last sort's support, or every coordinate (where the
+        # start lies) before any sort: x is the projection exactly when its
+        # positive coordinates are S (the KKT conditions).  Else it sorts.
         def phi(theta):
-            nonlocal known, latest
+            nonlocal known, latest, sorts
             v = z - theta * w
             if known is not None:
                 support, size, z_sum, w_sum, _ = known
                 x = np.maximum(v - (z_sum - theta * w_sum - total) / size, 0.0)
             if known is None or not np.array_equal(x > 0, support):
                 x = project(base, v)
+                sorts += 1
                 support = x > 0
                 ws = w[support]
                 d = ws - np.mean(ws)
@@ -463,14 +477,13 @@ class _SimplexCut:
             latest = x
             return float(w @ (x if ref is None else x - ref)) - offset, x
 
-        # _newton_cut asks for the pattern only of the x that phi returned last,
-        # whose support and slope are the known ones.
+        # _newton_cut asks for the pattern only of the x that phi returned last;
+        # a trial that did not sort kept the support of the step before it.
         def pattern(theta, x, right):
             assert x is latest, "pattern is asked about a point other than the last trial"
-            return known[0]
+            return sorts
 
-        def slope(support):
-            assert support is known[0], "slope is asked about a support other than the last one"
+        def slope():
             return known[4]
 
         # Once theta * (a_max - a_i) exceeds the gap z_max - z_i by the total,
@@ -482,19 +495,26 @@ class _SimplexCut:
             ends = (np.max(z[on]) - z[~on] - total) / (extreme - a[~on])
             return float(np.max(ends) if right else np.min(ends))
 
-        return _newton_cut(phi, pattern, slope, far)
+        return _newton_cut(phi, pattern, slope, far, _free_root(self.d, z, ref, self.level, self.rate))
 
 
-def _newton_cut(phi, pattern, slope, far):
+@_quiet
+def _free_root(u, z, ref, level, rate):
+    # The root phi would have were every coordinate free, or 0 if not finite.
+    theta = (float(u @ (z if ref is None else z - ref)) - level) / rate if rate > 0 else 0.0
+    return theta if math.isfinite(theta) else 0.0
+
+
+def _newton_cut(phi, pattern, slope, far, theta):
     # The root of phi, nonincreasing and piecewise linear, by Newton steps
-    # from theta = 0.  phi(theta) gives (phi, x(theta)); pattern(theta, x,
-    # right) gives the active pattern of the linear piece on that side of
-    # theta, and slope(pattern) its slope -phi'; phi has no kink beyond
+    # from theta.  phi(theta) gives (phi, x(theta)); pattern(theta, x, right)
+    # a number naming the linear piece on that side of theta, and slope()
+    # the slope -phi' of the piece named last; phi has no kink beyond
     # far(right) on that side, which is only asked for while the bracket is
     # open there.  Each trial lies strictly inside the sign bracket (lo, hi)
     # and replaces one end, leaving fewer floats inside, so the search ends
     # without a cap.
-    theta, lo, hi, ends, run = 0.0, -np.inf, np.inf, {}, None
+    lo, hi, ends, run = -np.inf, np.inf, {}, None
     while True:
         f, x = phi(theta)
         if f == 0.0:
@@ -502,7 +522,7 @@ def _newton_cut(phi, pattern, slope, far):
         right = f > 0
         lo, hi = (theta, hi) if right else (lo, theta)
         ends[right] = (f, x)
-        if run is not None and np.array_equal(pattern(theta, x, not run[2]), run[1]):
+        if run is not None and pattern(theta, x, not run[2]) == run[1]:
             # The step stayed on its piece, so it missed the root only by
             # the rounding of phi where it started; one more step sheds that.
             return phi(min(max(theta + f / run[0], lo), hi))[1]
@@ -510,12 +530,12 @@ def _newton_cut(phi, pattern, slope, far):
         if inner_lo > inner_hi:
             break
         active = pattern(theta, x, right)
-        rate = slope(active)
+        rate = slope()
         run = (rate, active, right)
         step = theta + f / rate if rate > 0 else np.nan
-        if not lo < step < hi:
+        if not (lo < step < hi or step == theta):
             # Off the bracket: bisect it once both ends are known, else jump
-            # to the far end on the root's side.
+            # to the far end on the root's side; a step onto theta moves one float in.
             run = None
             step = 0.5 * lo + 0.5 * hi if math.isfinite(lo) and math.isfinite(hi) else far(right)
             if not lo < step < hi:

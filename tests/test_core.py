@@ -1,6 +1,7 @@
 """Problem types, residual maps, and shared configuration plumbing."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from gvikit.core import (
     inner_fixed_point,
     projection_stage,
     recover_iterate,
+    vector_norm,
 )
 from gvikit.errors import (
     CapabilityError,
@@ -505,6 +507,20 @@ def test_eval_operator_converts_other_outputs_as_before(value):
     expected = np.atleast_1d(np.asarray(value, dtype=float))
     assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == expected.shape
     assert out.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("view", ["contiguous", "reversed", "every-other", "every-other-reversed"])
+def test_vector_norm_is_the_square_root_of_x_at_x(view):
+    # The norm takes x.dot(x) only on a contiguous array, where it has the
+    # bits of x @ x; on a reversed view the two often differ in the last
+    # bit, so a norm taken by .dot there fails this check.
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        base = rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-3.0, 3.0)
+        x = {"contiguous": base[:n], "reversed": base[:n][::-1], "every-other": base[::2],
+             "every-other-reversed": base[::-2]}[view]
+        assert vector_norm(x) == math.sqrt(x @ x)
 
 
 _STAGE_ENTRIES = st.one_of(

@@ -158,27 +158,67 @@ def base_projections(monkeypatch):
 def test_simplex_cut_makes_few_base_projections_on_the_hyperplane_workload(base_projections):
     # The cut set of the benchmark's hyperplane workload: the unit simplex
     # cut by a normal a ~ U[0.5, 1.5] at b = mean(a), projecting z ~ U[0, 2/n].
+    # The first trial, at the root on the simplex's affine hull, tries every
+    # coordinate: 55 of the 200 cuts never sort, 141 sort once and 4 twice.
     rng, n, counts = np.random.default_rng(4000), 4000, []
     for _ in range(200):
         a, z = rng.uniform(0.5, 1.5, n), rng.uniform(0.0, 2.0 / n, n)
         base_projections[0] = 0
         project_intersection(Simplex(1.0), a, float(np.mean(a)), z)
         counts.append(base_projections[0])
-    assert max(counts) <= 3
+    assert (sum(counts), max(counts)) == (149, 2)
 
 
 @pytest.mark.parametrize(
     ("b", "expected_sorts"),
-    [(2.0, 1),  # the root keeps every coordinate positive: one support throughout
-     (1.3, 2)],  # the root zeroes the last coordinate: the first step leaves the support
+    [(2.0, 0),  # the root keeps every coordinate positive: the first trial's support holds
+     (1.3, 1)],  # the root zeroes the last coordinate, as the first trial's projection does
 )
 def test_simplex_cut_trial_reuses_the_support_only_where_it_holds(b, expected_sorts, base_projections):
-    # A trial first tries the support of the last sorted projection and keeps
-    # it only when exactly that support stays positive; otherwise it sorts.
+    # A trial first tries the support of the last sorted projection, or every
+    # coordinate before any sort, and keeps it only when exactly that support
+    # stays positive; otherwise it sorts.
     base, a, z = Simplex(1.0), np.array([1.0, 2.0, 3.0]), np.array([0.3, 0.3, 0.4])
     x = project_intersection(base, a, b, z)
     np.testing.assert_allclose(x, kkt_cut_bruteforce(base, a, b, z, None), rtol=0, atol=1e-10)
     assert base_projections[0] == expected_sorts
+
+
+def test_simplex_cut_sorts_again_where_a_trial_leaves_the_support(base_projections):
+    # The first trial, at the root on the affine hull, leaves every
+    # coordinate's support for the second vertex; the far end on the right
+    # sorts to the first vertex; the bisection between them to the root's
+    # edge, which the last two trials keep.
+    base, a, z = Simplex(1.0), np.array([1.0, 2.0, 3.0]), np.array([0.0, 2.0, 0.0])
+    x = project_intersection(base, a, 1.3, z)
+    np.testing.assert_allclose(x, kkt_cut_bruteforce(base, a, 1.3, z, None), rtol=0, atol=1e-10)
+    assert base_projections[0] == 3
+
+
+def test_cut_search_moves_into_the_bracket_when_a_step_rounds_to_its_start(monkeypatch):
+    # At z = 0 the first trial, at the root on the affine hull, has phi =
+    # 5.6e-17, and the Newton step from it rounds back to it.  The search
+    # moves one float into the bracket, where the piece holds, and takes one
+    # more step; a step taken as off the bracket would jump to the far end
+    # and bisect back down to the root (57 trials).
+    trials, newton_cut = [], gvikit.sets._newton_cut
+    monkeypatch.setattr(gvikit.sets, "_newton_cut",
+                        lambda phi, *rest: newton_cut(lambda t: trials.append(t) or phi(t), *rest))
+    base, a, z = Simplex(1.0), np.array([1.0, 2.0, 3.0]), np.zeros(3)
+    x = project_intersection(base, a, 1.5, z)
+    np.testing.assert_allclose(x, kkt_cut_bruteforce(base, a, 1.5, z, None), rtol=0, atol=1e-10)
+    assert len(trials) == 3
+
+
+def test_cut_search_starts_at_zero_where_the_free_root_is_not_finite(monkeypatch):
+    # a.z overflows, so the root phi would have were every coordinate free
+    # is not finite: the search starts at 0 and still finds the projection.
+    starts, newton_cut = [], gvikit.sets._newton_cut
+    monkeypatch.setattr(gvikit.sets, "_newton_cut", lambda *args: starts.append(args[-1]) or newton_cut(*args))
+    base, a, b, z = Box(np.zeros(3), np.ones(3)), np.full(3, 1e150), 1.5e150, np.array([1e160, 0.5, 0.25])
+    x = project_intersection(base, a, b, z)
+    assert starts == [0.0]
+    assert kkt_cut_residual(base, a, b, z, None, x) <= 1e-12
 
 
 # Entries on a grid of 1e-3 keep the ratios inside one normal bounded, so

@@ -134,11 +134,12 @@ def test_dynamical_inner_loop_does_not_repeat_the_stage_evaluation(alg):
 def test_dp_optimal_iterations_and_base_projections_per_cut(pid, n, iterations, monkeypatch):
     # The cut over a Box is solved on its kinks without calling project().
     # Over a Simplex only a trial that leaves the last support sorts; on
-    # example2 that is the first trial of each cut and the second trial of
-    # the cut at step 20 alone.  example2's T is not monotone, and there a
-    # warm-started Armijo search can accept a power two or three below the
-    # one a search from 0 accepts: 78 iterations, where searches from 0
-    # take 97 and sort once per cut.
+    # example2, where each Newton search starts at the root on the simplex's
+    # affine hull and first tries every coordinate, 20 of the 78 cuts never
+    # sort and the others sort once.  example2's T is not monotone, and there
+    # a warm-started Armijo search can accept a power two or three below the
+    # one a search from 0 accepts: 78 iterations, where Armijo searches from
+    # 0 take 97.
     cuts, base_projections, inside = [0], [0], [False]
     project, cut = gvikit.sets.project, gvikit.wiener_hopf.project_intersection
 
@@ -162,7 +163,7 @@ def test_dp_optimal_iterations_and_base_projections_per_cut(pid, n, iterations, 
     assert report.iterations == iterations
     assert cuts[0] > 0
     if isinstance(problem.K, Simplex):
-        assert base_projections[0] == cuts[0] + 1
+        assert (cuts[0], base_projections[0]) == (78, 58)
     else:
         assert base_projections[0] == 0
 
