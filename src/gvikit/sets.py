@@ -158,20 +158,29 @@ _SMALL_SIMPLEX = 24
 
 _quiet = np.errstate(over="ignore", invalid="ignore")  # sums may overflow or meet inf - inf; ~0.5 us a call
 _sum = _quiet(np.ndarray.sum)
+_subtract = _quiet(np.subtract)
 
 
 def _project_simplex(z, total):
     # Exact projection onto {x >= 0, sum(x) = total}: x = max(z - theta, 0).
-    theta = _scanned_shift(z, total) if z.size <= _SMALL_SIMPLEX else _sorted_shift(z, total)
-    return np.maximum(z - theta, 0.0)
+    shift = _scanned_shift if z.size <= _SMALL_SIMPLEX else _sorted_shift
+    theta, top = shift(z, total)
+    if theta >= top:
+        # Every x_i would be 0: the total rounded away against z's entries
+        # (z = (0.5, 0.3, 1e160)).  Adding a constant to every entry leaves
+        # the projection as it is, so take the shift again with z's top at 0.
+        z = _subtract(z, top)
+        theta, _ = shift(z, total)
+    return np.maximum(_subtract(z, theta), 0.0)
 
 
 @_quiet
 def _sorted_shift(z, total):
-    # The feasibility test is arranged so the k=1 entry reduces to total > 0
-    # exactly in floating point; the naive u - (css - total)/k form loses it
-    # to cancellation when the entries are huge.  A NaN or +inf entry, or
-    # only -inf ones, leave no k feasible.
+    # The shift theta and the largest entry of z.  The feasibility test is
+    # arranged so the k=1 entry reduces to total > 0 exactly in floating
+    # point; the naive u - (css - total)/k form loses it to cancellation
+    # when the entries are huge.  A NaN or +inf entry, or only -inf ones,
+    # leave no k feasible.
     u = np.sort(z)[::-1]
     css = u.cumsum()
     k = np.arange(1.0, z.size + 1)
@@ -179,7 +188,7 @@ def _sorted_shift(z, total):
     if not feasible.size:
         raise _no_shift()
     idx = feasible[-1]
-    return (css[idx] - total) / (idx + 1.0)
+    return (css[idx] - total) / (idx + 1.0), u[0]
 
 
 def _scanned_shift(z, total):
@@ -195,7 +204,7 @@ def _scanned_shift(z, total):
             theta = (css - total) / k
     if theta is None or not math.isfinite(css) and not all(v < math.inf for v in u):
         raise _no_shift()
-    return theta
+    return theta, u[0]
 
 
 def _no_shift():

@@ -93,8 +93,10 @@ def solve_two_step(problem, config=None, u0=None):
     w = P_K[(1-lam)*g(u) + lam*g(y) - rho*T((1-xi)*u + xi*y)],
     u+ = u - g(u) + w.  Averages act on g-values and evaluation points,
     which matches the classical midpoint schemes exactly for linear g.
-    (lam, xi) = (0, 0) recovers the plain projection method and
-    (1/2, 1/2) the midpoint scheme.
+    (lam, xi) = (0, 0) is the plain projection method bit for bit, w
+    being the stage's own projected point, and (1/2, 1/2) the midpoint
+    scheme.  At xi = 0 the corrector takes T(u) from the stage, so a step
+    costs one T evaluation.
 
     Parameters
     ----------
@@ -111,10 +113,13 @@ def solve_two_step(problem, config=None, u0=None):
     lam, xi = config.lam, config.xi
 
     def update(u, s, k):
-        y = recover_iterate(problem, u, s.p, s.gu)
-        gy = g_value(problem, y)
-        mid = (1.0 - xi) * u + xi * y
-        w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - s.rho * effective_T(problem, mid))
+        if lam == xi == 0.0:
+            w = s.p  # the corrector is the predictor's own projection
+        else:
+            y = recover_iterate(problem, u, s.p, s.gu)
+            gy = g_value(problem, y)
+            t_mid = s.t if xi == 0.0 else effective_T(problem, (1.0 - xi) * u + xi * y)
+            w = project(problem.K, (1.0 - lam) * s.gu + lam * gy - s.rho * t_mid)
         return device_iterate(problem, u, s.gu, w), None, None
 
     details = {"algorithm": "two-step", "lam": lam, "xi": xi}

@@ -117,8 +117,9 @@ def _solve_double_projection(problem, config, u0, optimal):
                 g_next = project(problem.K, moved)
         else:
             g_next = project(problem.K, moved)
-        info["d"] = d
-        info["step_g"] = g_next - s.gu
+        step_g = g_next - s.gu
+        info["step_g_d"] = float(step_g @ d)
+        info["step_gsq"] = float(step_g @ step_g)
         return recover_iterate(problem, u, g_next, s.gu), info, None
 
     details = {"algorithm": "dp-optimal" if optimal else "dp-basic"}
@@ -137,7 +138,10 @@ def solve_double_projection_basic(problem, config=None, u0=None):
     are those of searches from 0 whenever each of those would accept a
     power of at least m' - 1, as on the monotone registry problems.
     Stops on ‖R(u)‖ ≤ tol; hitting the iteration cap yields a
-    non-converged report rather than an error.
+    non-converged report rather than an error.  Each trace record after
+    the start keeps scalars only: the accepted power ``m``, ``eta``, ``c``,
+    ``alpha``, and, for the step s = g(u+) - g(u), ``step_g_d`` = ⟨s, d⟩
+    and ``step_gsq`` = ‖s‖², so the trace does not grow with n.
 
     Parameters
     ----------
@@ -159,7 +163,11 @@ def solve_double_projection_optimal(problem, config=None, u0=None):
     basic method; the corrector projects g(u) + alpha*d onto K ∩ H where H
     is the hyperplane {w : ⟨w - g(u), d⟩ = eta*⟨R, R - T(u) + T(y)⟩}.  When
     the intersection is infeasible the basic corrector is used for that
-    iteration and the fallback is recorded in the trace.
+    iteration and the fallback is recorded in the trace.  The trace
+    records the basic method's fields (``m``, ``eta``, ``c``, ``alpha``,
+    ``step_g_d`` and ``step_gsq``), plus ``fallback`` = "basic" on such
+    an iteration; on every other, ``step_g_d`` equals ``c`` up to the
+    cut projection's rounding.
 
     Parameters
     ----------

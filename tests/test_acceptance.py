@@ -287,6 +287,29 @@ def test_scheme_reductions_coincide(example4_5):
     assert np.max(np.abs(ts.solution - plain.solution)) <= 1e-10
 
 
+def test_no_solver_keeps_an_n_vector_in_its_trace():
+    # Trace records keep scalars, so a run's trace memory does not grow with n.
+    base = build_problem(ProblemSpec("example4", n=100))
+    T, K, cfg = base.T, base.K, SolveConfig(rho=0.1)
+    ep = EquilibriumProblem(dim=base.dim, F=lambda u, y: float(T(u) @ (y - u)), K=K,
+                            aux_oracle=projection_aux_oracle(T, K))
+    vp = VarLikeProblem(dim=base.dim, T=T, K=K, eta=lambda y1, y2: y1 - y2, E_grad=lambda y: y,
+                        aux_oracle=projection_aux_oracle(T, K))
+    reports = {alg: solver(base, SolveConfig()) for alg, solver in ALGORITHMS.items()}
+    reports["eq-inertial"] = solve_eq_inertial(ep, cfg)
+    reports["eq-predictor-corrector"] = solve_eq_predictor_corrector(ep, cfg)
+    reports["varlike"] = solve_varlike(vp, cfg)
+    for mode in ("two_step", "implicit"):
+        hp = HigherOrderProblem(base=base, p=3.0, mu=0.5)
+        reports[f"higher-order-{mode}"] = solve_higher_order(hp, cfg, mode=mode)
+    for name, report in reports.items():
+        assert report.iterations > 0, name
+        for rec in report.trace:
+            assert not any(isinstance(v, np.ndarray) for v in (rec.info or {}).values()), name
+    for alg in ("dp-basic", "dp-optimal"):
+        assert all({"m", "eta", "c", "alpha"} <= rec.info.keys() for rec in reports[alg].trace[1:]), alg
+
+
 @pytest.mark.parametrize(("pid", "n", "rho", "h", "iterations"), [
     ("example3", 2000, 0.15, 1.0, 107), ("example3", 2000, 0.15, 0.5, 161),
     ("example4", 100_000, 0.5, 1.0, 52), ("example4", 100_000, 0.5, 0.5, 79),

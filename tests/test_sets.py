@@ -230,21 +230,22 @@ def test_whole_space_projection_is_identity():
     np.testing.assert_array_equal(project(WholeSpace(), z), z)
 
 
-def _sort_quiet():
-    # The written-out reference warns where its sums overflow or meet inf - inf,
-    # as numpy does, and so does z - theta on either path where it overflows.
-    return np.errstate(over="ignore", invalid="ignore")
-
-
 def _sorted_simplex(z, total):
     # The sort-based projection, written out: theta from the last k whose
-    # cancellation-safe test holds.
-    with _sort_quiet():
-        u = np.sort(z)[::-1]
-        css = u.cumsum()
-        k = np.arange(1.0, z.size + 1)
-        idx = ((u * k - css) + total > 0).nonzero()[0][-1]
-        return np.maximum(z - (css[idx] - total) / (idx + 1.0), 0.0)
+    # cancellation-safe test holds, taken again on z - max(z) where it
+    # leaves no coordinate positive.  Its sums overflow or meet inf - inf
+    # as numpy's do, so it runs quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(2):
+            u = np.sort(z)[::-1]
+            css = u.cumsum()
+            k = np.arange(1.0, z.size + 1)
+            idx = ((u * k - css) + total > 0).nonzero()[0][-1]
+            theta = (css[idx] - total) / (idx + 1.0)
+            if theta < u[0]:
+                break
+            z = z - u[0]
+        return np.maximum(z - theta, 0.0)
 
 
 _ENTRIES = st.one_of(
@@ -256,7 +257,7 @@ _ENTRIES = st.one_of(
 
 def _shift_or_error(shift, z, total):
     try:
-        return struct.pack("<d", shift(z, total))
+        return struct.pack("<dd", *shift(z, total))
     except NumericDomainError:
         return "NumericDomainError"
 
@@ -267,16 +268,35 @@ def _shift_or_error(shift, z, total):
 @example([-1.0, -2.0, -2.0, -5.0], False, 4.0)
 @example([1e300, -1e300, 1e300, 0.5], False, 4.0)
 @example([-1e300] * (_SMALL_SIMPLEX + 1), False, 4.0)
+@example([0.5, 0.3, 1e160], False, 1.0)
+@example([1.7e308, -1.7e308] + [0.3] * (_SMALL_SIMPLEX - 1), False, 4.0)
 def test_scanned_simplex_shift_is_the_sorted_shift_bit_for_bit(entries, negate, total):
     # Ties, huge and all-negative z: the scan on Python floats makes the
-    # sort path's sums and tests, so theta has the same bytes, or both raise.
+    # sort path's sums and tests, so theta and max(z) have the same bytes,
+    # or both raise.  The projection warns of nothing (warnings are errors here).
     z = np.array(entries, dtype=float)
     if negate:
         z = -np.abs(z)
     assert _shift_or_error(_scanned_shift, z, total) == _shift_or_error(_sorted_shift, z, total)
     if np.isfinite(z).any():
-        with _sort_quiet():
-            assert project(Simplex(total), z).tobytes() == _sorted_simplex(z, total).tobytes()
+        assert project(Simplex(total), z).tobytes() == _sorted_simplex(z, total).tobytes()
+
+
+@pytest.mark.parametrize("n", [3, _SMALL_SIMPLEX, _SMALL_SIMPLEX + 1, 100])
+@pytest.mark.parametrize(("head", "total", "expected"), [
+    ([0.5, 0.3, 1e160], 1.0, [0.0, 0.0, 1.0]),
+    ([1e160, 1e160, 0.3], 1.0, [0.5, 0.5, 0.0]),
+    ([1.7e308, -1.7e308, 0.0], 4.0, [4.0, 0.0, 0.0]),
+    ([1.5 * 2.0**1023, -1.5 * 2.0**1023, 0.0], 2.0**1023, [2.0**1023, 0.0, 0.0]),
+])
+def test_simplex_projection_keeps_the_total_at_extreme_magnitudes(n, head, total, expected):
+    # The total rounds away against an entry of 1e160 (theta would leave
+    # every coordinate at 0), and z - theta overflows at 1.7e308, also where
+    # theta = 2**1022 stays below max(z); either path returns the point and
+    # warns of nothing (warnings are errors here).
+    z = np.zeros(n)
+    z[:3] = head
+    assert project(Simplex(total), z).tolist() == expected + [0.0] * (n - 3)
 
 
 @pytest.mark.parametrize("n", [4, _SMALL_SIMPLEX + 1, 100])

@@ -1,5 +1,7 @@
 """Projection fixed-point family and dynamical-system discretizations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from gvikit import (
     solve_two_step,
 )
 from gvikit.errors import CapabilityError, DivergenceError, InnerLoopError
+from gvikit.registry import ProblemSpec, build_problem
 from gvikit.sets import Box, NonnegOrthant
 
 
@@ -86,6 +89,33 @@ def test_two_step_degenerates_to_projection(example4_5):
     plain = solve_projection(example4_5, cfg)
     degen = solve_two_step(example4_5, SolveConfig(rho=0.5, max_iters=10, tol=1e-16, lam=0.0, xi=0.0))
     np.testing.assert_array_equal(plain.solution, degen.solution)
+
+
+def _counted(problem, name):
+    # The problem with its T or g (the identity when None) counting its calls.
+    calls, fn = [], getattr(problem, name) or (lambda x: x)
+    return dataclasses.replace(problem, **{name: lambda x: calls.append(None) or fn(x)}), calls
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_two_step_at_xi_zero_takes_t_from_the_stage(lam):
+    # At xi = 0 the corrector evaluates T at u, which the stage holds, so a
+    # step costs one T evaluation.  At lam = xi = 0 the corrector is the
+    # stage's projection: the run is projection's, and g(y) is never formed.
+    problem = build_problem(ProblemSpec("example4", n=100))
+    counted, calls = _counted(problem, "T")
+    report = solve_two_step(counted, SolveConfig(rho=0.5, lam=lam, xi=0.0))
+    assert report.converged and len(calls) == report.iterations + 1
+    if lam == 0.0:
+        plain = solve_projection(problem, SolveConfig(rho=0.5))
+        assert report.iterations == plain.iterations
+        assert report.solution.tobytes() == plain.solution.tobytes()
+        with_g, calls = _counted(problem, "g")
+        report = solve_two_step(with_g, SolveConfig(rho=0.5, lam=lam, xi=0.0))
+        assert len(calls) == report.iterations + 1
+    midpoint, calls = _counted(problem, "T")
+    report = solve_two_step(midpoint, SolveConfig(rho=0.5, lam=lam, xi=0.5))
+    assert len(calls) == 2 * report.iterations + 1
 
 
 def test_two_step_midpoint_converges(example4_10):
